@@ -178,7 +178,7 @@ where
     for threads in sweep {
         let (par, par_ms) = best_of(reps, &mk, |nodes| {
             Simulator::congest(g)
-                .run_parallel(nodes, threads)
+                .run_cfg_plain(nodes, &RunConfig::new().parallel(threads))
                 .expect("parallel run")
         });
         let same = par.outputs == seq.outputs && par.metrics == seq.metrics;
@@ -240,7 +240,11 @@ fn bench_tail_workload(g: &Graph, threads: usize, reps: usize) -> WorkloadRecord
         best_of(reps, &mk, |nodes| {
             let sim = Simulator::congest(g).with_scheduling(scheduling);
             if par {
-                sim.run_parallel(nodes, threads).expect("tail run")
+                sim.run_cfg_plain(
+                    nodes,
+                    &RunConfig::new().parallel(threads).scheduling(scheduling),
+                )
+                .expect("tail run")
             } else {
                 sim.run(nodes).expect("tail run")
             }

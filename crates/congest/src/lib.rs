@@ -18,12 +18,13 @@
 //! node ids, and reports [`Metrics`] (rounds, messages, bits, and the
 //! per-round congestion profile).
 //!
-//! Two round executors are provided and are **bit-identical** for every
-//! thread count: the single-threaded reference engine ([`Simulator::run`])
-//! and the sharded multi-threaded engine ([`Simulator::run_parallel`]),
-//! which exploits the fact that rounds are barriers while nodes within a
-//! round are embarrassingly parallel. Select one per run with
-//! [`Simulator::run_with`] and [`Engine`].
+//! Every run goes through the one round loop of [`pga_runtime`]: inline on
+//! the calling thread, or sharded across worker threads, which exploits
+//! the fact that rounds are barriers while nodes within a round are
+//! embarrassingly parallel. The two are **bit-identical** for every thread
+//! count. [`Simulator::run`] uses the sequential default; select the
+//! engine, codec plane, fault plan, and reliable delivery per run with
+//! [`Simulator::run_cfg`] and a [`RunConfig`].
 //!
 //! # Example: flooding the maximum id (leader election)
 //!

@@ -129,8 +129,8 @@ where
 /// returns the response to broadcast.
 ///
 /// `Send + Sync` so [`GatherScatter`] states can be driven by the sharded
-/// multi-threaded engine ([`crate::Simulator::run_parallel`]) as well as
-/// the sequential one.
+/// multi-threaded engine (a parallel [`crate::RunConfig`]) as well as the
+/// sequential one.
 pub type LeaderCompute<I, D> = Arc<dyn Fn(Vec<I>) -> Vec<D> + Send + Sync>;
 
 enum Phase {

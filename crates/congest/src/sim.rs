@@ -10,7 +10,7 @@
 pub use crate::error::SimError;
 use crate::Metrics;
 use pga_graph::{Graph, NodeId};
-use pga_runtime::{CodecFns, ExecModel, FaultStats, KernelConfig, MsgSink, Poll, RoundProfile};
+use pga_runtime::{CodecFns, ExecModel, FaultStats, MsgSink, Plan, Poll, RoundProfile};
 
 pub use pga_runtime::{
     Adversary, Engine, FaultSpec, FaultTrace, JsonlProbe, MsgCodec, NoopProbe, Probe, RunConfig,
@@ -226,7 +226,7 @@ pub fn id_bits(n: usize) -> usize {
 /// `W` is the packed word type of the message codec, `()` when the run
 /// uses the plain enum plane. When a codec is installed
 /// ([`Simulator::run_cfg`] with [`RunConfig::codec`] on), the kernel's
-/// counting-sort exchange moves `W` words through its CSR inbox arenas
+/// sharded counting-sort exchange moves `W` words through its CSR inbox arenas
 /// instead of cloned `A::Msg` enums; validation and charging still
 /// happen here on the decoded messages, so both planes are
 /// bit-identical by construction.
@@ -403,8 +403,8 @@ impl<'g> Simulator<'g> {
         self.g.degree(NodeId::from_index(idx)) as u64 + 1
     }
 
-    /// The contiguous shard boundaries [`Simulator::run_parallel`] will
-    /// use for an explicit `threads` count: the cost-balanced partition
+    /// The contiguous shard boundaries a parallel run on `threads`
+    /// threads uses: the cost-balanced partition
     /// of [`pga_runtime::balanced_partition`] over
     /// [`Simulator::vertex_cost`]. Exposed so benches and tests can
     /// inspect per-shard load; boundaries never affect outputs, only
@@ -428,33 +428,6 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    fn kernel_config(&self) -> KernelConfig {
-        KernelConfig {
-            max_rounds: self.max_rounds,
-            scheduling: self.scheduling,
-        }
-    }
-
-    fn model<A: Algorithm>(&self) -> CongestModel<'_, 'g, A> {
-        CongestModel {
-            sim: self,
-            codec: None,
-            _algorithm: std::marker::PhantomData,
-        }
-    }
-
-    fn model_codec<A>(&self) -> CongestModel<'_, 'g, A, <A::Msg as MsgCodec>::Word>
-    where
-        A: Algorithm,
-        A::Msg: MsgCodec,
-    {
-        CongestModel {
-            sim: self,
-            codec: Some(CodecFns::new()),
-            _algorithm: std::marker::PhantomData,
-        }
-    }
-
     fn assert_node_count<T>(&self, nodes: &[T]) {
         assert_eq!(
             nodes.len(),
@@ -464,7 +437,9 @@ impl<'g> Simulator<'g> {
     }
 
     /// Runs `nodes` (one algorithm state per vertex, indexed by id) to
-    /// completion on the single-threaded reference engine.
+    /// completion on the default configuration: the sequential engine
+    /// with this simulator's scheduling policy and round budget, direct
+    /// delivery, no probe.
     ///
     /// # Errors
     ///
@@ -474,154 +449,38 @@ impl<'g> Simulator<'g> {
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run<A: Algorithm>(&self, nodes: Vec<A>) -> Result<Report<A::Output>, SimError> {
-        self.assert_node_count(&nodes);
-        Ok(pga_runtime::run_sequential(&self.model::<A>(), nodes, self.kernel_config())?.into())
-    }
-
-    /// Runs `nodes` to completion on the sharded multi-threaded engine.
-    ///
-    /// Vertices are partitioned into at most `threads` contiguous
-    /// shards with degree-balanced boundaries
-    /// ([`Simulator::shard_boundaries`]) driven by the shared
-    /// [`pga_runtime`] kernel and its counting-sort exchange; outputs,
-    /// [`Metrics`] (profile included) and errors all match
-    /// [`Simulator::run`] exactly, for every thread count (see
-    /// [`pga_runtime::run_sharded`] for why the shard-order scatter
-    /// needs no sorting). A model
-    /// violation aborts with the first offending node's error, though
-    /// `round` callbacks of higher-id nodes in other shards may already
-    /// have executed by then.
-    ///
-    /// `threads == 0` selects one shard per available CPU. With one
-    /// thread (or fewer than two nodes per shard) the call falls through
-    /// to the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_parallel<A>(
-        &self,
-        nodes: Vec<A>,
-        threads: usize,
-    ) -> Result<Report<A::Output>, SimError>
+    pub fn run<A>(&self, nodes: Vec<A>) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
         A::Msg: Send,
     {
-        self.assert_node_count(&nodes);
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        Ok(
-            pga_runtime::run_sharded(&self.model::<A>(), nodes, threads, self.kernel_config())?
-                .into(),
-        )
+        let cfg = RunConfig::new().scheduling(self.scheduling);
+        self.exec(nodes, &cfg, None::<CodecFns<A::Msg, ()>>, None, &NoopProbe)
     }
 
-    /// Runs `nodes` on the engine selected by `engine`.
+    /// Runs `nodes` under a [`RunConfig`]: engine, scheduling policy,
+    /// round budget, codec plane, fault plan, and reliable delivery in
+    /// one value.
     ///
-    /// Both engines produce bit-identical [`Report`]s, so callers can be
-    /// ported to this entry point and choose the engine per run (the
-    /// experiment binaries default to [`Engine::parallel_auto`]).
-    ///
-    /// With the auto-threaded parallel engine (`threads == 0`), instances
-    /// below [`PARALLEL_MIN_NODES`] vertices run on the sequential engine
-    /// instead: the workers are spawned per round, and below that size
-    /// the per-round shard work is smaller than the spawn cost, so
-    /// parallelism would only add overhead. An explicit thread count
-    /// always gets the parallel executor (the determinism tests rely on
-    /// that).
+    /// Every configuration runs on the one [`pga_runtime::run_kernel`]
+    /// round loop, and every engine, thread count, and codec plane
+    /// produces bit-identical outputs, [`Metrics`] (congestion profile
+    /// included) and errors. The configured [`RunConfig::scheduling`]
+    /// overrides this simulator's policy, and [`RunConfig::max_rounds`]
+    /// its round budget. With the auto-threaded parallel engine,
+    /// instances below [`PARALLEL_MIN_NODES`] vertices run on one shard
+    /// (see [`pga_runtime::Plan::new`]). With [`RunConfig::codec`] on,
+    /// sharded runs move packed [`MsgCodec::Word`]s through the exchange
+    /// (validation and charging still run on the decoded messages; debug
+    /// builds assert that [`MsgCodec::encoded_bits`] agrees with
+    /// [`MsgSize::size_bits`](pga_runtime::MsgCost::size_bits)).
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_with<A>(&self, nodes: Vec<A>, engine: Engine) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        match engine {
-            Engine::Sequential => self.run(nodes),
-            Engine::Parallel { threads: 0 } if self.g.num_nodes() < PARALLEL_MIN_NODES => {
-                self.run(nodes)
-            }
-            Engine::Parallel { threads } => self.run_parallel(nodes, threads),
-        }
-    }
-
-    /// Runs `nodes` on the sharded multi-threaded engine with the
-    /// message codec of `A::Msg` installed: the kernel exchange moves
-    /// packed [`MsgCodec::Word`]s through its flat CSR inbox arenas
-    /// instead of cloned message enums.
-    ///
-    /// Validation ([`check_message`]) and bit charging still run on the
-    /// decoded messages, so outputs, [`Metrics`] (congestion profile
-    /// included) and errors are bit-identical to [`Simulator::run`] and
-    /// [`Simulator::run_parallel`] at every thread count. Debug builds
-    /// additionally assert that [`MsgCodec::encoded_bits`] agrees with
-    /// [`MsgSize::size_bits`](pga_runtime::MsgCost::size_bits) for every
-    /// packed message.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_parallel_codec<A>(
-        &self,
-        nodes: Vec<A>,
-        threads: usize,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
-    {
-        self.assert_node_count(&nodes);
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        Ok(pga_runtime::run_sharded(
-            &self.model_codec::<A>(),
-            nodes,
-            threads,
-            self.kernel_config(),
-        )?
-        .into())
-    }
-
-    /// Runs `nodes` under a [`RunConfig`]: engine, scheduling policy and
-    /// codec selection in one value.
-    ///
-    /// The configured [`RunConfig::scheduling`] overrides this
-    /// simulator's policy for the run. Engine dispatch matches
-    /// [`Simulator::run_with`] (including the
-    /// [`PARALLEL_MIN_NODES`] auto-threads fallback); with
-    /// [`RunConfig::codec`] on, parallel runs go through
-    /// [`Simulator::run_parallel_codec`]. The sequential engine always
-    /// uses the enum plane — packing lives in the sharded exchange.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
+    /// or the round budget is exhausted (which adversarially starved
+    /// runs routinely do — bound the budget via
+    /// [`RunConfig::max_rounds`]).
     ///
     /// # Panics
     ///
@@ -639,17 +498,14 @@ impl<'g> Simulator<'g> {
 
     /// [`Simulator::run_cfg`] with an explicit [`Probe`] attached.
     ///
-    /// The probe observes every executor this dispatch can select —
-    /// sequential, sharded (either plane), or adversarial — without
-    /// changing outputs, [`Metrics`], or errors (*observer neutrality*;
-    /// see [`pga_runtime::probe`]). Passing [`NoopProbe`] is exactly the
-    /// un-probed run: the kernel monomorphizes every callback and timer
-    /// away.
+    /// The probe observes the run without changing outputs, [`Metrics`],
+    /// or errors (*observer neutrality*; see [`pga_runtime::probe`]).
+    /// Passing [`NoopProbe`] is exactly the un-probed run: the kernel
+    /// monomorphizes every callback and timer away.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
+    /// Returns a [`SimError`] like [`Simulator::run_cfg`].
     ///
     /// # Panics
     ///
@@ -665,111 +521,8 @@ impl<'g> Simulator<'g> {
         A::Msg: MsgCodec + Send,
         P: Probe,
     {
-        self.assert_node_count(&nodes);
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        if let Some(rel) = cfg.reliability {
-            // The reliable (ARQ) executor subsumes the adversary: with
-            // no fault armed it runs over a never-interfering one.
-            let adversary = SeededAdversary::new(cfg.fault.unwrap_or_else(FaultSpec::none));
-            let threads = sim.fault_threads(cfg.engine);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            let run: Result<Report<A::Output>, SimError> = if cfg.codec {
-                pga_runtime::arq::run_reliable_probed(
-                    &sim.model_codec::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    rel,
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            } else {
-                pga_runtime::arq::run_reliable_probed(
-                    &sim.model::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    rel,
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            };
-            return run;
-        }
-        if let Some(spec) = cfg.fault {
-            let adversary = SeededAdversary::new(spec);
-            let threads = sim.fault_threads(cfg.engine);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            let run: Result<Report<A::Output>, SimError> = if cfg.codec {
-                pga_runtime::fault::run_faulty_probed(
-                    &sim.model_codec::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            } else {
-                pga_runtime::fault::run_faulty_probed(
-                    &sim.model::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            };
-            return run;
-        }
-        let sequential = |nodes: Vec<A>| -> Result<Report<A::Output>, SimError> {
-            Ok(pga_runtime::run_sequential_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.kernel_config(),
-                probe,
-            )?
-            .into())
-        };
-        match cfg.engine {
-            Engine::Sequential => sequential(nodes),
-            Engine::Parallel { threads: 0 } if self.g.num_nodes() < PARALLEL_MIN_NODES => {
-                sequential(nodes)
-            }
-            Engine::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    threads
-                };
-                if cfg.codec {
-                    Ok(pga_runtime::run_sharded_probed(
-                        &sim.model_codec::<A>(),
-                        nodes,
-                        threads,
-                        sim.kernel_config(),
-                        probe,
-                    )?
-                    .into())
-                } else {
-                    Ok(pga_runtime::run_sharded_probed(
-                        &sim.model::<A>(),
-                        nodes,
-                        threads,
-                        sim.kernel_config(),
-                        probe,
-                    )?
-                    .into())
-                }
-            }
-        }
+        let codec = cfg.codec.then(CodecFns::<A::Msg, _>::new);
+        self.exec(nodes, cfg, codec, None, probe)
     }
 
     /// [`Simulator::run_cfg`] for algorithms whose message type has no
@@ -778,8 +531,7 @@ impl<'g> Simulator<'g> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
+    /// Returns a [`SimError`] like [`Simulator::run_cfg`].
     ///
     /// # Panics
     ///
@@ -793,194 +545,11 @@ impl<'g> Simulator<'g> {
         A: Algorithm + Send,
         A::Msg: Send,
     {
+        let codec = None::<CodecFns<A::Msg, ()>>;
         match JsonlProbe::from_run_config(cfg, "congest") {
-            Some(probe) => self.run_cfg_plain_probed(nodes, cfg, &probe),
-            None => self.run_cfg_plain_probed(nodes, cfg, &NoopProbe),
+            Some(probe) => self.exec(nodes, cfg, codec, None, &probe),
+            None => self.exec(nodes, cfg, codec, None, &NoopProbe),
         }
-    }
-
-    /// [`Simulator::run_cfg_plain`] with an explicit [`Probe`] attached
-    /// (enum plane only; see [`Simulator::run_cfg_probed`] for the
-    /// neutrality contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_cfg_plain_probed<A, P>(
-        &self,
-        nodes: Vec<A>,
-        cfg: &RunConfig,
-        probe: &P,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-        P: Probe,
-    {
-        self.assert_node_count(&nodes);
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        if let Some(rel) = cfg.reliability {
-            let adversary = SeededAdversary::new(cfg.fault.unwrap_or_else(FaultSpec::none));
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::arq::run_reliable_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.fault_threads(cfg.engine),
-                sim.kernel_config(),
-                rel,
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        if let Some(spec) = cfg.fault {
-            let adversary = SeededAdversary::new(spec);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::fault::run_faulty_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.fault_threads(cfg.engine),
-                sim.kernel_config(),
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        let sequential = |nodes: Vec<A>| -> Result<Report<A::Output>, SimError> {
-            Ok(pga_runtime::run_sequential_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.kernel_config(),
-                probe,
-            )?
-            .into())
-        };
-        match cfg.engine {
-            Engine::Sequential => sequential(nodes),
-            Engine::Parallel { threads: 0 } if self.g.num_nodes() < PARALLEL_MIN_NODES => {
-                sequential(nodes)
-            }
-            Engine::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    threads
-                };
-                Ok(pga_runtime::run_sharded_probed(
-                    &sim.model::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    probe,
-                )?
-                .into())
-            }
-        }
-    }
-
-    /// The thread count a fault run uses for `engine`: the adversarial
-    /// executor has no separate sequential/sharded split, so the engine
-    /// choice reduces to a thread count (with the same
-    /// [`PARALLEL_MIN_NODES`] auto-threads fallback as the clean
-    /// dispatch — and the same bit-identical results either way).
-    fn fault_threads(&self, engine: Engine) -> usize {
-        match engine {
-            Engine::Sequential => 1,
-            Engine::Parallel { threads: 0 } => {
-                if self.g.num_nodes() < PARALLEL_MIN_NODES {
-                    1
-                } else {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                }
-            }
-            Engine::Parallel { threads } => threads,
-        }
-    }
-
-    /// Runs `nodes` on the adversarial executor under an explicit
-    /// [`Adversary`] (enum message plane).
-    ///
-    /// Fault decisions are pure functions of `(round, sender, seq)`, so
-    /// the run is bit-identical for every `engine` choice, and an
-    /// adversary that never interferes reproduces [`Simulator::run`]
-    /// bit for bit. Most callers want [`Simulator::run_cfg`] with
-    /// [`RunConfig::adversary`] instead; this entry point exists for
-    /// custom [`Adversary`] implementations and replay tooling.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication
-    /// model or the round budget is exhausted (which adversarially
-    /// starved runs routinely do — bound the budget via
-    /// [`Simulator::with_max_rounds`] or [`RunConfig::max_rounds`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_adversary<A>(
-        &self,
-        nodes: Vec<A>,
-        engine: Engine,
-        adversary: &dyn Adversary,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        self.assert_node_count(&nodes);
-        #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-        Ok(pga_runtime::fault::run_faulty(
-            &self.model::<A>(),
-            nodes,
-            self.fault_threads(engine),
-            self.kernel_config(),
-            adversary,
-        )?
-        .into())
-    }
-
-    /// [`Simulator::run_adversary`] with the message codec of `A::Msg`
-    /// installed: the adversarial executor moves packed
-    /// [`MsgCodec::Word`]s, with fates decided on exactly the same
-    /// `(round, sender, seq)` coordinates — both planes stay
-    /// bit-identical under any adversary.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] like [`Simulator::run_adversary`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_adversary_codec<A>(
-        &self,
-        nodes: Vec<A>,
-        engine: Engine,
-        adversary: &dyn Adversary,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
-    {
-        self.assert_node_count(&nodes);
-        #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-        Ok(pga_runtime::fault::run_faulty(
-            &self.model_codec::<A>(),
-            nodes,
-            self.fault_threads(engine),
-            self.kernel_config(),
-            adversary,
-        )?
-        .into())
     }
 
     /// Runs `nodes` under `spec` while recording every inflicted fault,
@@ -988,13 +557,14 @@ impl<'g> Simulator<'g> {
     /// [`Simulator::run_replay`] re-executes bit for bit.
     ///
     /// Engine, scheduling, and round budget come from `cfg`;
-    /// [`RunConfig::fault`] and [`RunConfig::codec`] are ignored (`spec`
-    /// is explicit, and the recording run uses the enum plane — the
-    /// planes are bit-identical, so the trace is valid for both).
+    /// [`RunConfig::fault`], [`RunConfig::reliability`], and
+    /// [`RunConfig::codec`] are ignored (`spec` is explicit, and the
+    /// recording run uses the enum plane — the planes are bit-identical,
+    /// so the trace is valid for both).
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] like [`Simulator::run_adversary`].
+    /// Returns a [`SimError`] like [`Simulator::run_cfg`].
     ///
     /// # Panics
     ///
@@ -1009,15 +579,11 @@ impl<'g> Simulator<'g> {
         A: Algorithm + Send,
         A::Msg: Send,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        let n = self.g.num_nodes();
         let adversary = SeededAdversary::recording(spec);
-        let report = sim.run_adversary(nodes, cfg.engine, &adversary)?;
-        Ok((report, adversary.into_trace(n)))
+        let codec = None::<CodecFns<A::Msg, ()>>;
+        let schedule = Some((&adversary as &dyn Adversary, spec));
+        let report = self.exec(nodes, cfg, codec, schedule, &NoopProbe)?;
+        Ok((report, adversary.into_trace(self.g.num_nodes())))
     }
 
     /// Re-executes a recorded fault schedule: every coordinate in
@@ -1027,7 +593,7 @@ impl<'g> Simulator<'g> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] like [`Simulator::run_adversary`].
+    /// Returns a [`SimError`] like [`Simulator::run_cfg`].
     ///
     /// # Panics
     ///
@@ -1042,11 +608,49 @@ impl<'g> Simulator<'g> {
         A: Algorithm + Send,
         A::Msg: Send,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        sim.run_adversary(nodes, cfg.engine, &TraceAdversary::new(trace))
+        let adversary = TraceAdversary::new(trace);
+        let codec = None::<CodecFns<A::Msg, ()>>;
+        let schedule = Some((&adversary as &dyn Adversary, trace.spec));
+        self.exec(nodes, cfg, codec, schedule, &NoopProbe)
+    }
+
+    /// The one engine dispatch every run method shares: resolves `cfg`
+    /// into a [`Plan`] and runs the kernel. The adversary is the seeded
+    /// one of [`RunConfig::fault`], unless `schedule` names an explicit
+    /// adversary and the spec it plays, which then replaces the
+    /// configured fault plan and reliability.
+    fn exec<A, W, P>(
+        &self,
+        nodes: Vec<A>,
+        cfg: &RunConfig,
+        codec: Option<CodecFns<A::Msg, W>>,
+        schedule: Option<(&dyn Adversary, FaultSpec)>,
+        probe: &P,
+    ) -> Result<Report<A::Output>, SimError>
+    where
+        A: Algorithm + Send,
+        A::Msg: Send,
+        W: Copy + Send,
+        P: Probe,
+    {
+        self.assert_node_count(&nodes);
+        let seeded = SeededAdversary::new(cfg.fault.unwrap_or_default());
+        let (cfg, adversary): (RunConfig, &dyn Adversary) = match schedule {
+            Some((adversary, spec)) => (
+                RunConfig {
+                    reliability: None,
+                    ..cfg.adversary(spec)
+                },
+                adversary,
+            ),
+            None => (*cfg, &seeded),
+        };
+        let plan = Plan::new(&cfg, nodes.len(), self.max_rounds, adversary);
+        let model = CongestModel {
+            sim: self,
+            codec,
+            _algorithm: std::marker::PhantomData,
+        };
+        Ok(pga_runtime::run_kernel(&model, nodes, &plan, probe)?.into())
     }
 }

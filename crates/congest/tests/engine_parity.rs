@@ -7,7 +7,8 @@
 //! model.
 
 use pga_congest::{
-    balanced_partition, id_bits, Algorithm, Ctx, Engine, MsgSize, Scheduling, SimError, Simulator,
+    balanced_partition, id_bits, Algorithm, Ctx, Engine, MsgSize, RunConfig, Scheduling, SimError,
+    Simulator,
 };
 use pga_graph::{generators, NodeId};
 
@@ -247,7 +248,10 @@ fn parallel_matches_sequential_bit_identically() {
             .unwrap();
         for threads in [1, 2, 3, 4, 8] {
             let par = Simulator::congest(g)
-                .run_parallel((0..n).map(FloodMax::new).collect(), threads)
+                .run_cfg_plain(
+                    (0..n).map(FloodMax::new).collect(),
+                    &RunConfig::new().parallel(threads),
+                )
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "outputs, t={threads}");
             assert_eq!(par.metrics, seq.metrics, "metrics, t={threads}");
@@ -272,7 +276,10 @@ fn parallel_matches_sequential_on_heavy_tail_and_lollipop() {
             .unwrap();
         for threads in [1, 2, 3, 5, 8] {
             let par = Simulator::congest(g)
-                .run_parallel((0..n).map(FloodMax::new).collect(), threads)
+                .run_cfg_plain(
+                    (0..n).map(FloodMax::new).collect(),
+                    &RunConfig::new().parallel(threads),
+                )
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "outputs, t={threads}");
             assert_eq!(par.metrics, seq.metrics, "metrics, t={threads}");
@@ -333,7 +340,10 @@ fn scheduling_policies_match_bit_identically() {
             for threads in [2, 3, 5] {
                 let par = Simulator::congest(g)
                     .with_scheduling(scheduling)
-                    .run_parallel((0..n).map(FloodMax::new).collect(), threads)
+                    .run_cfg_plain(
+                        (0..n).map(FloodMax::new).collect(),
+                        &RunConfig::new().parallel(threads).scheduling(scheduling),
+                    )
                     .unwrap();
                 assert_eq!(par.outputs, reference.outputs, "{scheduling:?} t={threads}");
                 assert_eq!(par.metrics, reference.metrics, "{scheduling:?} t={threads}");
@@ -376,7 +386,7 @@ fn parallel_congested_clique_matches() {
     let seq = Simulator::congested_clique(&g).run(mk()).unwrap();
     for threads in [2, 4, 6] {
         let par = Simulator::congested_clique(&g)
-            .run_parallel(mk(), threads)
+            .run_cfg_plain(mk(), &RunConfig::new().parallel(threads))
             .unwrap();
         assert_eq!(par.outputs, seq.outputs);
         assert_eq!(par.metrics, seq.metrics);
@@ -409,7 +419,10 @@ fn parallel_errors_match_sequential() {
         .unwrap_err();
     for threads in [2, 4] {
         let par = Simulator::congest(&g)
-            .run_parallel((0..8).map(|_| Bad).collect::<Vec<_>>(), threads)
+            .run_cfg_plain(
+                (0..8).map(|_| Bad).collect::<Vec<_>>(),
+                &RunConfig::new().parallel(threads),
+            )
             .unwrap_err();
         assert_eq!(par, seq, "t={threads}");
     }
@@ -443,7 +456,10 @@ fn parallel_round_limit_matches() {
     }
     let err = Simulator::congest(&g)
         .with_max_rounds(7)
-        .run_parallel((0..8).map(|_| Chatter).collect::<Vec<_>>(), 4)
+        .run_cfg_plain(
+            (0..8).map(|_| Chatter).collect::<Vec<_>>(),
+            &RunConfig::new().parallel(4),
+        )
         .unwrap_err();
     assert_eq!(err, SimError::RoundLimitExceeded { limit: 7 });
 }
@@ -457,7 +473,10 @@ fn run_with_dispatches_both_engines() {
         Engine::parallel_auto(),
     ] {
         let report = Simulator::congest(&g)
-            .run_with((0..10).map(FloodMax::new).collect(), engine)
+            .run_cfg_plain(
+                (0..10).map(FloodMax::new).collect(),
+                &RunConfig::new().engine(engine),
+            )
             .unwrap();
         assert!(report.outputs.iter().all(|&b| b == 9), "{engine:?}");
     }

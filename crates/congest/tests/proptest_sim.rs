@@ -2,7 +2,7 @@
 //! primitive.
 
 use pga_congest::primitives::{FloodMax, GatherScatter, LeaderCompute, SizedU64};
-use pga_congest::{Algorithm, Ctx, MsgSize, Simulator};
+use pga_congest::{Algorithm, Ctx, MsgSize, RunConfig, Simulator};
 use pga_graph::traversal::{bfs_distances, diameter};
 use pga_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -166,7 +166,7 @@ proptest! {
             .run((0..n).map(|_| Layer { dist: None, announce: false }).collect())
             .unwrap();
         let par = Simulator::congest(&g)
-            .run_parallel((0..n).map(|_| Layer { dist: None, announce: false }).collect(), threads)
+            .run_cfg_plain((0..n).map(|_| Layer { dist: None, announce: false }).collect(), &RunConfig::new().parallel(threads))
             .unwrap();
         prop_assert_eq!(&par.outputs, &seq.outputs, "Layer outputs, t={}", threads);
         prop_assert_eq!(&par.metrics, &seq.metrics, "Layer metrics, t={}", threads);
@@ -174,7 +174,7 @@ proptest! {
         // Workload 2: flood-max leader election (dense message flow).
         let mk = || (0..n).map(|i| FloodMax::new(NodeId::from_index(i))).collect();
         let seq = Simulator::congest(&g).run(mk()).unwrap();
-        let par = Simulator::congest(&g).run_parallel(mk(), threads).unwrap();
+        let par = Simulator::congest(&g).run_cfg_plain(mk(), &RunConfig::new().parallel(threads)).unwrap();
         prop_assert_eq!(&par.outputs, &seq.outputs, "FloodMax outputs, t={}", threads);
         prop_assert_eq!(&par.metrics, &seq.metrics, "FloodMax metrics, t={}", threads);
     }
@@ -198,7 +198,7 @@ proptest! {
             })
             .collect();
         let seq = Simulator::congest(&g).run(mk()).unwrap();
-        let par = Simulator::congest(&g).run_parallel(mk(), threads).unwrap();
+        let par = Simulator::congest(&g).run_cfg_plain(mk(), &RunConfig::new().parallel(threads)).unwrap();
         prop_assert_eq!(&par.outputs, &seq.outputs, "outputs, t={}", threads);
         prop_assert_eq!(&par.metrics, &seq.metrics, "metrics, t={}", threads);
     }
@@ -228,7 +228,7 @@ proptest! {
             .unwrap();
         let active = Simulator::congest(&g)
             .with_scheduling(Scheduling::ActiveSet)
-            .run_parallel(mk_layer(), threads)
+            .run_cfg_plain(mk_layer(), &RunConfig::new().parallel(threads).scheduling(Scheduling::ActiveSet))
             .unwrap();
         prop_assert_eq!(&active.outputs, &full.outputs, "Layer outputs, t={}", threads);
         prop_assert_eq!(&active.metrics, &full.metrics, "Layer metrics, t={}", threads);
@@ -239,7 +239,7 @@ proptest! {
             .unwrap();
         let active = Simulator::congest(&g)
             .with_scheduling(Scheduling::ActiveSet)
-            .run_parallel(mk_gs(), threads)
+            .run_cfg_plain(mk_gs(), &RunConfig::new().parallel(threads).scheduling(Scheduling::ActiveSet))
             .unwrap();
         prop_assert_eq!(&active.outputs, &full.outputs, "GS outputs, t={}", threads);
         prop_assert_eq!(&active.metrics, &full.metrics, "GS metrics, t={}", threads);
@@ -276,7 +276,7 @@ proptest! {
         let mk = || (0..n).map(|i| FloodMax::new(NodeId::from_index(i))).collect::<Vec<_>>();
         let seq = Simulator::congest(&g).run(mk()).unwrap();
         for threads in [1usize, 2, 3, 5, 8] {
-            let par = Simulator::congest(&g).run_parallel(mk(), threads).unwrap();
+            let par = Simulator::congest(&g).run_cfg_plain(mk(), &RunConfig::new().parallel(threads)).unwrap();
             prop_assert_eq!(&par.outputs, &seq.outputs, "outputs, t={}", threads);
             prop_assert_eq!(&par.metrics, &seq.metrics, "metrics, t={}", threads);
         }

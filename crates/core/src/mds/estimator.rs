@@ -11,7 +11,7 @@
 //! This module provides both the bare math ([`estimate_from_minima`]) and
 //! the distributed algorithm ([`TwoHopEstimator`]).
 
-use pga_congest::{Algorithm, Ctx, Engine, MsgCodec, MsgSize, RunConfig, Simulator};
+use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -164,26 +164,6 @@ impl Algorithm for TwoHopEstimator {
 /// construction) — surfaced as an `expect` for API simplicity.
 pub fn estimate_two_hop_sizes(g: &Graph, in_u: &[bool], r: usize, seed: u64) -> Vec<f64> {
     estimate_two_hop_sizes_cfg(g, in_u, r, seed, &RunConfig::new())
-}
-
-/// [`estimate_two_hop_sizes`] on an explicit simulation [`Engine`].
-///
-/// # Panics
-///
-/// Panics if the simulation violates the model (it cannot, by
-/// construction) — surfaced as an `expect` for API simplicity.
-#[deprecated(
-    since = "0.1.0",
-    note = "use estimate_two_hop_sizes_cfg with a RunConfig"
-)]
-pub fn estimate_two_hop_sizes_with(
-    g: &Graph,
-    in_u: &[bool],
-    r: usize,
-    seed: u64,
-    engine: Engine,
-) -> Vec<f64> {
-    estimate_two_hop_sizes_cfg(g, in_u, r, seed, &RunConfig::new().engine(engine))
 }
 
 /// [`estimate_two_hop_sizes`] under an explicit [`RunConfig`] (engine,

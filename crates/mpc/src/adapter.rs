@@ -21,10 +21,10 @@
 //! machine memory against the budget `S`, and per-round send/receive
 //! volume against the same `S`.
 
-use crate::engine::{Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
+use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
 use pga_congest::{
-    check_message, id_bits, Algorithm, CodecFns, Ctx, Metrics, MsgCodec, RunConfig, Scheduling,
+    check_message, id_bits, Algorithm, CodecFns, Ctx, Metrics, MsgCodec, ProbeMode, RunConfig,
     Topology,
 };
 use pga_graph::{Graph, NodeId};
@@ -299,7 +299,7 @@ pub struct AdapterReport<O> {
 /// Mirrors the `Simulator` builder: construct with
 /// [`CongestOnMpc::congest`] (or [`CongestOnMpc::congested_clique`]),
 /// tune budgets with the setters, then [`CongestOnMpc::run`] /
-/// [`CongestOnMpc::run_with`].
+/// [`CongestOnMpc::run_cfg`].
 pub struct CongestOnMpc<'g> {
     g: &'g Graph,
     topology: Topology,
@@ -446,38 +446,14 @@ impl<'g> CongestOnMpc<'g> {
         A: Algorithm + Send,
         A::Msg: Send,
     {
-        self.run_with(nodes, Engine::Sequential)
+        self.run_impl(nodes, &RunConfig::new(), None::<CodecFns<A::Msg, ()>>)
     }
 
-    /// [`CongestOnMpc::run`] on an explicit MPC [`Engine`] (both engines
-    /// are bit-identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`CongestOnMpc::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_with<A>(
-        &self,
-        nodes: Vec<A>,
-        engine: Engine,
-    ) -> Result<AdapterReport<A::Output>, MpcError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        self.run_impl(
-            nodes,
-            engine,
-            Scheduling::default(),
-            None::<CodecFns<A::Msg, ()>>,
-        )
-    }
-
-    /// Runs `nodes` under a [`RunConfig`]: engine, scheduling policy and
-    /// codec selection in one value.
+    /// Runs `nodes` under a [`RunConfig`]: the MPC engine (both engines
+    /// are bit-identical), scheduling policy, and codec selection in one
+    /// value. The adapter simulates the clean CONGEST plane on its own
+    /// round budget, so the fault, reliability, round-budget, and probe
+    /// settings are not consulted.
     ///
     /// With [`RunConfig::codec`] on, cross-machine [`RoutedBatch`]es
     /// carry packed [`MsgCodec::Word`]s instead of cloned message enums.
@@ -501,23 +477,13 @@ impl<'g> CongestOnMpc<'g> {
         A: Algorithm + Send,
         A::Msg: MsgCodec + Send,
     {
-        if cfg.codec {
-            self.run_impl(nodes, cfg.engine, cfg.scheduling, Some(CodecFns::new()))
-        } else {
-            self.run_impl(
-                nodes,
-                cfg.engine,
-                cfg.scheduling,
-                None::<CodecFns<A::Msg, ()>>,
-            )
-        }
+        self.run_impl(nodes, cfg, cfg.codec.then(CodecFns::<A::Msg, _>::new))
     }
 
     fn run_impl<A, W>(
         &self,
         nodes: Vec<A>,
-        engine: Engine,
-        scheduling: Scheduling,
+        cfg: &RunConfig,
         codec: Option<CodecFns<A::Msg, W>>,
     ) -> Result<AdapterReport<A::Output>, MpcError>
     where
@@ -551,10 +517,12 @@ impl<'g> CongestOnMpc<'g> {
         }
         machines.reverse();
 
-        let sim = MpcSimulator::new(self.memory_words)
-            .with_max_rounds(self.max_rounds)
-            .with_scheduling(scheduling);
-        let report = sim.run_with(machines, engine)?;
+        let mpc_cfg = RunConfig::new()
+            .engine(cfg.engine)
+            .scheduling(cfg.scheduling)
+            .probe(ProbeMode::Off);
+        let sim = MpcSimulator::new(self.memory_words).with_max_rounds(self.max_rounds);
+        let report = sim.run_cfg(machines, &mpc_cfg)?;
 
         let mut outputs = Vec::with_capacity(n);
         let mut congest = Metrics::default();
@@ -754,7 +722,7 @@ mod tests {
         let seq = driver.run(floodmax_states(n)).unwrap();
         for threads in [2, 4] {
             let par = driver
-                .run_with(floodmax_states(n), Engine::Parallel { threads })
+                .run_cfg(floodmax_states(n), &RunConfig::new().parallel(threads))
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "t={threads}");
             assert_eq!(par.congest, seq.congest, "t={threads}");

@@ -15,7 +15,7 @@
 
 use crate::MpcMetrics;
 use pga_congest::SimError;
-use pga_runtime::{ActorId, ExecModel, FaultStats, KernelConfig, MsgSink, Poll, RoundProfile};
+use pga_runtime::{ActorId, ExecModel, FaultStats, MsgSink, Plan, Poll, RoundProfile};
 use std::fmt;
 
 pub use pga_congest::{Engine, Scheduling};
@@ -339,8 +339,8 @@ pub fn low_space_words(n: usize, delta: f64) -> usize {
 ///
 /// Construct with [`MpcSimulator::new`] and tune with the builder-style
 /// setters; run machine programs with [`MpcSimulator::run`] (sequential
-/// reference engine), [`MpcSimulator::run_parallel`] (sharded
-/// multi-threaded engine, bit-identical), or [`MpcSimulator::run_with`].
+/// default) or [`MpcSimulator::run_cfg`] (any engine, fault plan, or
+/// reliable delivery — all bit-identical on a clean network).
 #[derive(Clone, Copy, Debug)]
 pub struct MpcSimulator {
     memory_words: usize,
@@ -585,8 +585,8 @@ impl MpcSimulator {
         self.memory_words
     }
 
-    /// The contiguous shard boundaries [`MpcSimulator::run_parallel`]
-    /// will use for an explicit `threads` count: the cost-balanced
+    /// The contiguous shard boundaries a parallel run on `threads`
+    /// threads uses: the cost-balanced
     /// partition of [`pga_runtime::balanced_partition`] over each
     /// machine's declared resident words. Exposed so benches and tests
     /// can inspect per-shard load; boundaries never affect outputs,
@@ -596,109 +596,44 @@ impl MpcSimulator {
         pga_runtime::balanced_partition(&costs, threads)
     }
 
-    fn kernel_config(&self) -> KernelConfig {
-        KernelConfig {
-            max_rounds: self.max_rounds,
-            scheduling: self.scheduling,
-        }
-    }
-
-    fn model<A: Machine>(&self, machines: usize) -> MpcModel<'_, A> {
-        MpcModel {
-            sim: self,
-            machines,
-            _machine: std::marker::PhantomData,
-        }
-    }
-
     /// Runs `machines` (one program state per machine, indexed by id) to
-    /// completion on the single-threaded reference engine.
+    /// completion on the default configuration: the sequential engine
+    /// with this simulator's scheduling policy and round budget, direct
+    /// delivery, no probe.
     ///
     /// # Errors
     ///
     /// Returns an [`MpcError`] if a machine violates the memory or I/O
     /// budget, a program aborts, or the round budget is exhausted.
-    pub fn run<A: Machine>(&self, machines: Vec<A>) -> Result<MpcReport<A::Output>, MpcError> {
-        let m = machines.len();
-        Ok(
-            pga_runtime::run_sequential(&self.model::<A>(m), machines, self.kernel_config())?
-                .into(),
-        )
-    }
-
-    /// Runs `machines` to completion on the sharded multi-threaded
-    /// engine — the same [`pga_runtime`] kernel that drives
-    /// `pga_congest::Simulator::run_parallel`, sharded over machines.
-    ///
-    /// **Bit-identical** to [`MpcSimulator::run`]: same outputs, same
-    /// [`MpcMetrics`], same [`MpcError`] on violations, for every
-    /// thread count. A violation aborts with the first offending
-    /// machine's error, though `round` callbacks of higher-id machines
-    /// in other shards may already have executed by then.
-    ///
-    /// `threads == 0` selects one shard per available CPU. With one
-    /// thread (or fewer than two machines per shard) the call falls
-    /// through to the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
-    pub fn run_parallel<A>(
-        &self,
-        machines: Vec<A>,
-        threads: usize,
-    ) -> Result<MpcReport<A::Output>, MpcError>
+    pub fn run<A>(&self, machines: Vec<A>) -> Result<MpcReport<A::Output>, MpcError>
     where
         A: Machine + Send,
         A::Msg: Send,
     {
-        let m = machines.len();
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        Ok(
-            pga_runtime::run_sharded(&self.model::<A>(m), machines, threads, self.kernel_config())?
-                .into(),
-        )
-    }
-
-    /// Runs `machines` on the engine selected by `engine` (the same
-    /// [`Engine`] enum the CONGEST simulator dispatches on). Both engines
-    /// produce bit-identical [`MpcReport`]s.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
-    pub fn run_with<A>(
-        &self,
-        machines: Vec<A>,
-        engine: Engine,
-    ) -> Result<MpcReport<A::Output>, MpcError>
-    where
-        A: Machine + Send,
-        A::Msg: Send,
-    {
-        match engine {
-            Engine::Sequential => self.run(machines),
-            Engine::Parallel { threads } => self.run_parallel(machines, threads),
-        }
+        let cfg = RunConfig::new().scheduling(self.scheduling);
+        self.exec(machines, &cfg, None, &NoopProbe)
     }
 
     /// Runs `machines` under a [`RunConfig`]: engine, scheduling
-    /// policy, round budget, and fault plan in one value.
+    /// policy, round budget, fault plan, and reliable delivery in one
+    /// value — on the same [`pga_runtime::run_kernel`] round loop that
+    /// drives the CONGEST simulator, sharded over machines.
     ///
-    /// The configured [`RunConfig::scheduling`] and
-    /// [`RunConfig::max_rounds`] override this simulator's settings for
-    /// the run; with [`RunConfig::fault`] set the run goes through the
-    /// adversarial executor ([`MpcSimulator::run_adversary`]).
-    /// [`RunConfig::codec`] is ignored — the MPC plane keeps the enum
-    /// exchange at kernel level (see the `Packed` note on the model).
+    /// Every engine and thread count is **bit-identical**: same outputs,
+    /// same [`MpcMetrics`], same [`MpcError`] on violations (though with
+    /// several shards, `round` callbacks of higher-id machines in other
+    /// shards may already have run when one aborts). The configured
+    /// [`RunConfig::scheduling`] and [`RunConfig::max_rounds`] override
+    /// this simulator's settings for the run, and the engine resolves as
+    /// in [`pga_runtime::Plan::new`]. [`RunConfig::codec`] is ignored —
+    /// the MPC plane keeps the enum exchange at kernel level (see the
+    /// `Packed` note on the model).
     ///
     /// # Errors
     ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
+    /// Returns an [`MpcError`] like [`MpcSimulator::run`] (round-budget
+    /// exhaustion is routine for adversarially starved runs — bound the
+    /// budget via [`RunConfig::max_rounds`]).
     pub fn run_cfg<A>(
         &self,
         machines: Vec<A>,
@@ -716,8 +651,7 @@ impl MpcSimulator {
 
     /// [`MpcSimulator::run_cfg`] with an explicit [`Probe`] attached.
     ///
-    /// The probe observes every executor this dispatch can select —
-    /// sequential, sharded, or adversarial — without changing outputs,
+    /// The probe observes the run without changing outputs,
     /// [`MpcMetrics`], or errors (*observer neutrality*; see
     /// [`pga_runtime::probe`]). Passing [`NoopProbe`] is exactly the
     /// un-probed run: the kernel monomorphizes every callback and timer
@@ -737,116 +671,7 @@ impl MpcSimulator {
         A::Msg: Send,
         P: Probe,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        let m = machines.len();
-        if let Some(rel) = cfg.reliability {
-            // The reliable (ARQ) executor subsumes the adversary: with
-            // no fault armed it runs over a never-interfering one.
-            let adversary = SeededAdversary::new(cfg.fault.unwrap_or_else(FaultSpec::none));
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::arq::run_reliable_probed(
-                &sim.model::<A>(m),
-                machines,
-                Self::fault_threads(cfg.engine),
-                sim.kernel_config(),
-                rel,
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        if let Some(spec) = cfg.fault {
-            let adversary = SeededAdversary::new(spec);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::fault::run_faulty_probed(
-                &sim.model::<A>(m),
-                machines,
-                Self::fault_threads(cfg.engine),
-                sim.kernel_config(),
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        match cfg.engine {
-            Engine::Sequential => Ok(pga_runtime::run_sequential_probed(
-                &sim.model::<A>(m),
-                machines,
-                sim.kernel_config(),
-                probe,
-            )?
-            .into()),
-            Engine::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    threads
-                };
-                Ok(pga_runtime::run_sharded_probed(
-                    &sim.model::<A>(m),
-                    machines,
-                    threads,
-                    sim.kernel_config(),
-                    probe,
-                )?
-                .into())
-            }
-        }
-    }
-
-    /// The thread count a fault run uses for `engine` (the adversarial
-    /// executor has no separate sequential/sharded split — results are
-    /// bit-identical either way).
-    fn fault_threads(engine: Engine) -> usize {
-        match engine {
-            Engine::Sequential => 1,
-            Engine::Parallel { threads: 0 } => {
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            }
-            Engine::Parallel { threads } => threads,
-        }
-    }
-
-    /// Runs `machines` on the adversarial executor under an explicit
-    /// [`Adversary`]. Fault decisions are pure functions of
-    /// `(round, sender, seq)`, so the run is bit-identical for every
-    /// `engine` choice, and an adversary that never interferes
-    /// reproduces [`MpcSimulator::run`] bit for bit. Most callers want
-    /// [`MpcSimulator::run_cfg`] with [`RunConfig::adversary`]; this
-    /// entry point exists for custom [`Adversary`] implementations and
-    /// replay tooling.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] if a machine violates the memory or I/O
-    /// budget, a program aborts, or the round budget is exhausted
-    /// (which adversarially starved runs routinely do — bound the
-    /// budget via [`MpcSimulator::with_max_rounds`] or
-    /// [`RunConfig::max_rounds`]).
-    pub fn run_adversary<A>(
-        &self,
-        machines: Vec<A>,
-        engine: Engine,
-        adversary: &dyn Adversary,
-    ) -> Result<MpcReport<A::Output>, MpcError>
-    where
-        A: Machine + Send,
-        A::Msg: Send,
-    {
-        let m = machines.len();
-        #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-        Ok(pga_runtime::fault::run_faulty(
-            &self.model::<A>(m),
-            machines,
-            Self::fault_threads(engine),
-            self.kernel_config(),
-            adversary,
-        )?
-        .into())
+        self.exec(machines, cfg, None, probe)
     }
 
     /// Runs `machines` under `spec` while recording every inflicted
@@ -854,11 +679,12 @@ impl MpcSimulator {
     /// that [`MpcSimulator::run_replay`] re-executes bit for bit.
     ///
     /// Engine, scheduling, and round budget come from `cfg`;
-    /// [`RunConfig::fault`] is ignored (`spec` is explicit).
+    /// [`RunConfig::fault`] and [`RunConfig::reliability`] are ignored
+    /// (`spec` is explicit).
     ///
     /// # Errors
     ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run_adversary`].
+    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
     pub fn run_traced<A>(
         &self,
         machines: Vec<A>,
@@ -869,14 +695,9 @@ impl MpcSimulator {
         A: Machine + Send,
         A::Msg: Send,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
         let m = machines.len();
         let adversary = SeededAdversary::recording(spec);
-        let report = sim.run_adversary(machines, cfg.engine, &adversary)?;
+        let report = self.exec(machines, cfg, Some((&adversary, spec)), &NoopProbe)?;
         Ok((report, adversary.into_trace(m)))
     }
 
@@ -885,7 +706,7 @@ impl MpcSimulator {
     ///
     /// # Errors
     ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run_adversary`].
+    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
     pub fn run_replay<A>(
         &self,
         machines: Vec<A>,
@@ -896,11 +717,45 @@ impl MpcSimulator {
         A: Machine + Send,
         A::Msg: Send,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        sim.run_adversary(machines, cfg.engine, &TraceAdversary::new(trace))
+        let adversary = TraceAdversary::new(trace);
+        self.exec(machines, cfg, Some((&adversary, trace.spec)), &NoopProbe)
+    }
+
+    /// The one engine dispatch every run method shares: resolves `cfg`
+    /// into a [`Plan`] and runs the kernel. The adversary is the seeded
+    /// one of [`RunConfig::fault`], unless `schedule` names an explicit
+    /// adversary and the spec it plays, which then replaces the
+    /// configured fault plan and reliability.
+    fn exec<A, P>(
+        &self,
+        machines: Vec<A>,
+        cfg: &RunConfig,
+        schedule: Option<(&dyn Adversary, FaultSpec)>,
+        probe: &P,
+    ) -> Result<MpcReport<A::Output>, MpcError>
+    where
+        A: Machine + Send,
+        A::Msg: Send,
+        P: Probe,
+    {
+        let m = machines.len();
+        let seeded = SeededAdversary::new(cfg.fault.unwrap_or_default());
+        let (cfg, adversary): (RunConfig, &dyn Adversary) = match schedule {
+            Some((adversary, spec)) => (
+                RunConfig {
+                    reliability: None,
+                    ..cfg.adversary(spec)
+                },
+                adversary,
+            ),
+            None => (*cfg, &seeded),
+        };
+        let plan = Plan::new(&cfg, m, self.max_rounds, adversary);
+        let model = MpcModel {
+            sim: self,
+            machines: m,
+            _machine: std::marker::PhantomData,
+        };
+        Ok(pga_runtime::run_kernel(&model, machines, &plan, probe)?.into())
     }
 }

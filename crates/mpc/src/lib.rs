@@ -14,10 +14,10 @@
 //!   each capped at `S` words per machine. Violations are typed
 //!   [`MpcError`]s, mirroring `pga_congest::SimError`; delivery order is
 //!   deterministic; [`MpcMetrics`] accounts rounds, peak machine memory,
-//!   and total communication. Two bit-identical round executors are
-//!   provided ([`MpcSimulator::run`] and the sharded multi-threaded
-//!   [`MpcSimulator::run_parallel`], reusing the `std::thread::scope`
-//!   pattern of `pga-congest`).
+//!   and total communication. Runs go through the same `pga-runtime`
+//!   round loop as `pga-congest`, inline or sharded across worker
+//!   threads, bit-identically ([`MpcSimulator::run`] for the sequential
+//!   default, [`MpcSimulator::run_cfg`] for any engine).
 //! * [`CongestOnMpc`] — the adapter: vertex-partitions any existing
 //!   [`pga_congest::Algorithm`] across machines and routes its messages
 //!   through the MPC exchange, bit-identical to `Simulator::run`

@@ -3,8 +3,8 @@
 //! executors (and of both scheduling policies) across thread counts.
 
 use pga_mpc::{
-    low_space_words, Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, Scheduling,
-    WordSize,
+    low_space_words, Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, RunConfig,
+    Scheduling, WordSize,
 };
 
 /// A plain word-counted payload.
@@ -95,7 +95,7 @@ fn parallel_matches_sequential_bit_identically() {
     let seq = MpcSimulator::new(64).run(ring(16, 3)).unwrap();
     for threads in [1, 2, 3, 5, 8] {
         let par = MpcSimulator::new(64)
-            .run_parallel(ring(16, 3), threads)
+            .run_cfg(ring(16, 3), &RunConfig::new().parallel(threads))
             .unwrap();
         assert_eq!(par.outputs, seq.outputs, "t={threads}");
         assert_eq!(par.metrics, seq.metrics, "t={threads}");
@@ -124,7 +124,7 @@ fn cost_balanced_sharding_stays_bit_identical() {
     let seq = MpcSimulator::new(64).run(skewed_ring(16, 3)).unwrap();
     for threads in [1, 2, 3, 5, 8] {
         let par = MpcSimulator::new(64)
-            .run_parallel(skewed_ring(16, 3), threads)
+            .run_cfg(skewed_ring(16, 3), &RunConfig::new().parallel(threads))
             .unwrap();
         assert_eq!(par.outputs, seq.outputs, "t={threads}");
         assert_eq!(par.metrics, seq.metrics, "t={threads}");
@@ -166,7 +166,10 @@ fn scheduling_policies_match_bit_identically() {
         for threads in [2, 5] {
             let par = MpcSimulator::new(64)
                 .with_scheduling(scheduling)
-                .run_parallel(ring(16, 3), threads)
+                .run_cfg(
+                    ring(16, 3),
+                    &RunConfig::new().parallel(threads).scheduling(scheduling),
+                )
                 .unwrap();
             assert_eq!(par.outputs, reference.outputs, "{scheduling:?} t={threads}");
             assert_eq!(par.metrics, reference.metrics, "{scheduling:?} t={threads}");
@@ -356,7 +359,7 @@ fn parallel_errors_match_sequential() {
     let seq = MpcSimulator::new(64).run(mk()).unwrap_err();
     for threads in [2, 4] {
         let par = MpcSimulator::new(64)
-            .run_parallel(mk(), threads)
+            .run_cfg(mk(), &RunConfig::new().parallel(threads))
             .unwrap_err();
         assert_eq!(par, seq, "t={threads}");
     }
@@ -383,7 +386,9 @@ fn run_with_dispatches_both_engines() {
         Engine::Parallel { threads: 3 },
         Engine::parallel_auto(),
     ] {
-        let report = MpcSimulator::new(64).run_with(ring(8, 2), engine).unwrap();
+        let report = MpcSimulator::new(64)
+            .run_cfg(ring(8, 2), &RunConfig::new().engine(engine))
+            .unwrap();
         assert_eq!(report.outputs[0], 16, "{engine:?}");
     }
 }

@@ -159,3 +159,19 @@ proptest! {
         }
     }
 }
+
+/// An auto-threaded run on fewer than `PARALLEL_MIN_NODES` machines
+/// steps on one shard, exactly like the CONGEST simulator's: the probe
+/// sees the single-shard bounds whatever the host's core count.
+#[test]
+fn parallel_auto_on_a_small_instance_runs_on_one_shard() {
+    let sim = MpcSimulator::new(256);
+    let cfg = RunConfig::new().parallel_auto();
+    let probe = RecordingProbe::new();
+    let observed = sim.run_cfg_probed(gossip(64), &cfg, &probe).unwrap();
+    let t = probe.into_telemetry();
+    assert_eq!(t.bounds, vec![0, 64]);
+    let plain = sim.run(gossip(64)).unwrap();
+    assert_eq!(observed.outputs, plain.outputs);
+    assert_eq!(observed.metrics, plain.metrics);
+}

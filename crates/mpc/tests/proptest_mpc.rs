@@ -6,7 +6,7 @@
 use pga_congest::primitives::FloodMax;
 use pga_congest::Simulator;
 use pga_graph::{generators, Graph, NodeId};
-use pga_mpc::{g2_ruling_set_mpc, lex_first_g2_mis, CongestOnMpc, Engine};
+use pga_mpc::{g2_ruling_set_mpc, lex_first_g2_mis, CongestOnMpc, Engine, RunConfig};
 use proptest::prelude::*;
 
 fn arb_connected() -> impl Strategy<Value = Graph> {
@@ -49,7 +49,7 @@ proptest! {
         );
         let driver = CongestOnMpc::congest(&g).with_memory_words(base << budget_scale);
         for engine in [Engine::Sequential, Engine::Parallel { threads: 3 }] {
-            let adapter = driver.run_with(floodmax_states(n), engine).unwrap();
+            let adapter = driver.run_cfg(floodmax_states(n), &RunConfig::new().engine(engine)).unwrap();
             prop_assert_eq!(&adapter.outputs, &reference.outputs);
             prop_assert_eq!(&adapter.congest, &reference.metrics);
             prop_assert!(adapter.mpc.rounds == reference.metrics.rounds);

@@ -7,16 +7,42 @@
 //! message-passing rounds: deliver each actor's inbox, collect its
 //! outbox, validate every message against the model, account metrics,
 //! exchange, repeat until global quiescence. This crate holds that loop
-//! **once**, in two bit-identical flavors (the single-threaded
-//! [`run_sequential`] and the sharded multi-threaded [`run_sharded`]),
-//! parameterized by an [`ExecModel`] that supplies only the pieces that
-//! actually differ between models: per-message validation and charging,
-//! metrics accumulation, the error type, addressing, and the per-actor
-//! cost estimate that drives load-balanced sharding.
+//! **once**, in [`run_kernel`], parameterized by an [`ExecModel`] that
+//! supplies only the pieces that actually differ between models:
+//! per-message validation and charging, metrics accumulation, the error
+//! type, addressing, and the per-actor cost estimate that drives
+//! load-balanced sharding. A [`Plan`] — resolved from a [`RunConfig`] by
+//! [`Plan::new`] — picks the round budget, the scheduling policy, the
+//! shard count, and the delivery plane.
+//!
+//! # One loop, a stack of sinks
+//!
+//! Every round the kernel sweeps the actors (termination and
+//! scheduling), steps the active ones, and exchanges their mail. The
+//! executors of a plan differ only in how a round's messages travel, and
+//! that is decided at the [`MsgSink`] seam the model's `step` delivers
+//! into:
+//!
+//! * **Staging.** At one shard the kernel steps inline on the calling
+//!   thread and stages each message straight into next round's
+//!   per-actor inbox. At two or more, each shard steps on its own worker
+//!   thread and stages into columnar lanes that the exchange scatters
+//!   into flat inbox arenas (below).
+//! * **Direct delivery** ([`Delivery::Direct`]) uses the staging sink
+//!   as is.
+//! * **Adversarial delivery** ([`Delivery::Adversary`], see [`fault`])
+//!   stacks a sink that drops, duplicates, or delays each message on top
+//!   of the staging sink, with a per-round hook that halts crashed
+//!   actors and releases the delay queue.
+//! * **Reliable delivery** ([`Delivery::Reliable`], see [`arq`]) stacks
+//!   a sink that hands each send to a sliding-window ARQ layer running
+//!   over the adversary, with a per-tick hook for the link, wire, and
+//!   ack bookkeeping and the barrier between kernel ticks and
+//!   application rounds.
 //!
 //! # The message plane: counting-sort exchange and flat inbox arenas
 //!
-//! The sharded executor's exchange is a two-pass counting sort, in the
+//! The sharded exchange is a two-pass counting sort, in the
 //! flat-array/prefix-sum style of bulk-synchronous graph engines:
 //!
 //! 1. **Stage (columnar lanes)** — while a worker steps its shard's
@@ -34,15 +60,17 @@
 //!    flat inbox arena: for every destination actor, in ascending
 //!    sender-shard order, the lane's pre-grouped range is drained into
 //!    the arena, and the actor's inbox becomes a CSR slice
-//!    `arena[offs[v]..offs[v + 1]]`. No per-actor `Vec` is ever pushed;
-//!    each round reuses the same arena allocation.
+//!    `arena[offs[v]..offs[v + 1]]`. Mail a delivery plane injects on
+//!    the driving thread (released delays, accepted ARQ frames) rides a
+//!    final lane row, drained after every sender shard's. No per-actor
+//!    `Vec` is ever pushed; each round reuses the same arena allocation.
 //!
 //! **Determinism.** Within one destination's inbox the delivery order is
 //! (sender shard ascending, then outbox order within the shard). Shards
 //! cover ascending contiguous id ranges and each worker visits its
 //! actors in id order, so that order is exactly ascending sender id then
-//! outbox order — the same order the sequential executor produces —
-//! which keeps every engine bit-identical without any comparison sort.
+//! outbox order — the same order one-shard staging produces — which
+//! keeps every shard count bit-identical without any comparison sort.
 //!
 //! # Packed-word lanes ([`MsgCodec`])
 //!
@@ -60,8 +88,8 @@
 //! ([`MsgCodec`]'s contract), so the packed plane is bit-identical to
 //! the enum plane — same outputs, same metrics (congestion and I/O
 //! profiles included), same errors — at every thread count. Models that
-//! do not pack set `Packed = ()` and keep the enum plane; the sequential
-//! executor always uses the enum plane (it has no exchange to compress).
+//! do not pack set `Packed = ()` and keep the enum plane; one-shard runs
+//! always use the enum plane (they have no exchange to compress).
 //!
 //! # Load-balanced sharding
 //!
@@ -79,10 +107,9 @@
 //! # Performance: arenas and quiescence
 //!
 //! * **Arena-backed message staging** — inbox storage is owned by the
-//!   kernel and reused across rounds (the sequential executor swaps
-//!   per-actor buffers; the sharded executor reuses its lanes and flat
-//!   inbox arenas), so steady-state rounds perform no per-actor buffer
-//!   allocation.
+//!   kernel and reused across rounds (one-shard runs swap per-actor
+//!   buffers; sharded runs reuse their lanes and flat inbox arenas), so
+//!   steady-state rounds perform no per-actor buffer allocation.
 //! * **Batched round accounting** — each worker accumulates one
 //!   [`RoundProfile`] for its whole shard and the kernel folds the
 //!   shard profiles once per round (in shard order), instead of
@@ -102,8 +129,8 @@
 //! reports itself skippable and its inbox is empty, its `round` callback
 //! must be a pure no-op — no state mutation, no outgoing messages, no
 //! error.* Skipping a call that would have done nothing cannot change
-//! outputs, metrics, or errors, so both scheduling policies (and both
-//! executors, at every thread count) remain bit-identical.
+//! outputs, metrics, or errors, so both scheduling policies (at every
+//! shard count) remain bit-identical.
 //!
 //! The user-facing traits (`pga_congest::Algorithm::can_skip`,
 //! `pga_mpc::Machine::can_skip`) default `skippable` to the actor's own
@@ -130,10 +157,9 @@ pub mod arq;
 pub mod fault;
 pub mod probe;
 
-pub use arq::{run_reliable, ReliabilitySpec};
+pub use arq::ReliabilitySpec;
 pub use fault::{
-    run_faulty, Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, SeededAdversary,
-    TraceAdversary,
+    Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, SeededAdversary, TraceAdversary,
 };
 pub use probe::{
     JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, RoundTelemetry,
@@ -185,12 +211,12 @@ pub trait MsgCost {
 
 /// A fixed-width packed wire representation for a message type.
 ///
-/// Implementing `MsgCodec` lets the sharded executor move `Copy` words
+/// Implementing `MsgCodec` lets the sharded exchange move `Copy` words
 /// through its counting-sort lanes and flat CSR inbox arenas instead of
 /// cloned enums (see the crate docs). The **contract**:
 ///
 /// * `decode(encode(&m))` reproduces `m` exactly (observable state,
-///   not just equality — the executors rely on bit-identity), and
+///   not just equality — the kernel relies on bit-identity), and
 /// * [`MsgCodec::encoded_bits`] agrees with the message's declared
 ///   [`MsgCost::size_bits`] for every reachable message (asserted in
 ///   debug builds by the model wrappers), so packed-plane accounting
@@ -219,7 +245,7 @@ pub trait MsgCodec: MsgCost + Sized {
 ///
 /// Model wrappers store an `Option<CodecFns<…>>` to make packing a
 /// per-run choice without an extra trait bound on every generic
-/// executor path: `CodecFns::new::<M>()` captures the codec of a
+/// kernel path: `CodecFns::new::<M>()` captures the codec of a
 /// message type once, and the wrapper dispatches through plain function
 /// pointers thereafter.
 pub struct CodecFns<M, W> {
@@ -262,20 +288,21 @@ impl<M: MsgCodec> Default for CodecFns<M, M::Word> {
     }
 }
 
-/// Selects which round executor drives a run.
+/// Selects how many threads step a run's actors (resolved to a shard
+/// count by [`Plan::new`]).
 ///
-/// Both executors are **bit-identical**: for the same actor states they
-/// produce the same outputs, the same metrics (per-round profiles
+/// Every choice is **bit-identical**: for the same actor states it
+/// produces the same outputs, the same metrics (per-round profiles
 /// included), and the same error on model violations, regardless of
-/// thread count. The sequential executor is the reference oracle; the
-/// sharded one exists to make large instances run as fast as the
+/// thread count. The sequential engine is the reference oracle; the
+/// parallel one exists to make large instances run as fast as the
 /// hardware allows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The single-threaded reference executor ([`run_sequential`]).
+    /// One shard, stepped inline on the calling thread.
     #[default]
     Sequential,
-    /// The sharded multi-threaded executor ([`run_sharded`]).
+    /// One worker thread per shard.
     Parallel {
         /// Number of worker shards; `0` means one per available CPU.
         threads: usize,
@@ -289,14 +316,14 @@ impl Engine {
     }
 }
 
-/// Below this actor count, [`Engine::parallel_auto`] (threads = 0)
-/// falls back to the sequential executor: worker threads are spawned
-/// per round, and on small instances that fixed cost exceeds the
-/// per-round compute. Explicit thread counts are always honored.
+/// Below this actor count, [`Engine::parallel_auto`] (threads = 0) runs
+/// on one shard: worker threads are spawned per round, and on small
+/// instances that fixed cost exceeds the per-round compute. Explicit
+/// thread counts are always honored.
 pub const PARALLEL_MIN_NODES: usize = 1024;
 
 /// Builder-style per-run configuration consumed by the simulators' and
-/// entry points' unified `_cfg` forms: the executor, the scheduling
+/// entry points' unified `_cfg` forms: the engine, the scheduling
 /// policy, and whether the packed message plane is enabled.
 ///
 /// ```
@@ -309,7 +336,7 @@ pub const PARALLEL_MIN_NODES: usize = 1024;
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct RunConfig {
-    /// The executor driving the run (default [`Engine::Sequential`]).
+    /// The engine driving the run (default [`Engine::Sequential`]).
     pub engine: Engine,
     /// The round-scheduling policy (default [`Scheduling::ActiveSet`];
     /// both policies are bit-identical).
@@ -318,11 +345,10 @@ pub struct RunConfig {
     /// cloned enums (default off; requires the message type to
     /// implement [`MsgCodec`], and is bit-identical to the enum plane).
     pub codec: bool,
-    /// Seeded fault-injection plan for the run (default `None` = the
-    /// clean executors). `Some(spec)` routes the run through the
-    /// adversarial executor ([`fault::run_faulty`]) — even
-    /// [`FaultSpec::none`], which that executor reproduces bit-for-bit
-    /// against the clean engines.
+    /// Seeded fault-injection plan for the run (default `None` = direct
+    /// delivery). `Some(spec)` routes the run's mail through the seeded
+    /// adversary ([`Delivery::Adversary`]) — even [`FaultSpec::none`],
+    /// which reproduces direct delivery bit for bit.
     pub fault: Option<FaultSpec>,
     /// Overrides the simulator's round budget for this run (default
     /// `None` keeps the simulator's own limit). Fault sweeps set a
@@ -330,8 +356,8 @@ pub struct RunConfig {
     /// abort quickly with the model's round-limit error.
     pub max_rounds: Option<usize>,
     /// Reliable-delivery plan for the run (default `None` = raw
-    /// delivery). `Some(spec)` routes the run through the ARQ executor
-    /// ([`arq::run_reliable`]), which sequences, acknowledges, and
+    /// delivery). `Some(spec)` routes the run's mail through the ARQ
+    /// plane ([`Delivery::Reliable`]), which sequences, acknowledges, and
     /// retransmits every application message over the (possibly
     /// faulted) network — composable with [`RunConfig::fault`]: with no
     /// adversary armed the ARQ run reproduces the clean outputs with a
@@ -383,23 +409,23 @@ impl RunConfig {
         Self::default()
     }
 
-    /// Selects the executor.
+    /// Selects the engine.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Selects the single-threaded reference executor.
+    /// Selects the single-threaded reference engine.
     pub fn sequential(self) -> Self {
         self.engine(Engine::Sequential)
     }
 
-    /// Selects the sharded executor with an explicit thread count.
+    /// Selects the sharded engine with an explicit thread count.
     pub fn parallel(self, threads: usize) -> Self {
         self.engine(Engine::Parallel { threads })
     }
 
-    /// Selects the sharded executor with one shard per available CPU.
+    /// Selects the sharded engine with one shard per available CPU.
     pub fn parallel_auto(self) -> Self {
         self.engine(Engine::parallel_auto())
     }
@@ -479,19 +505,10 @@ pub enum Scheduling {
     FullSweep,
 }
 
-/// Kernel tuning knobs, supplied by the model wrappers.
-#[derive(Clone, Copy, Debug)]
-pub struct KernelConfig {
-    /// Abort with [`ExecModel::round_limit_error`] after this many rounds.
-    pub max_rounds: usize,
-    /// The round-scheduling policy.
-    pub scheduling: Scheduling,
-}
-
 /// One round's merged accounting, shared by both models.
 ///
-/// Each executor accumulates one `RoundProfile` per shard (the
-/// sequential executor is a single shard), folds the shard profiles in
+/// The kernel accumulates one `RoundProfile` per shard (a one-shard run
+/// has one), folds the shard profiles in
 /// shard order once per round, and hands the merge to
 /// [`ExecModel::end_round`]; the model maps the fields onto its own
 /// metrics type. Field semantics are model-defined: CONGEST charges bits
@@ -513,7 +530,7 @@ pub struct RoundProfile {
     /// peak).
     pub peak_state: usize,
     /// Log-bucketed histogram of the charged message sizes this round.
-    /// `None` (the default) outside probed runs: the executors allocate
+    /// `None` (the default) outside probed runs: the kernel allocates
     /// it only when an enabled [`Probe`] is attached, so models can
     /// call [`RoundProfile::observe_size`] unconditionally and the
     /// unprobed path pays one branch per message. Telemetry only —
@@ -524,7 +541,7 @@ pub struct RoundProfile {
 
 impl RoundProfile {
     /// A profile whose size histogram is allocated iff the probe `P` is
-    /// enabled — the executors' per-round accumulator constructor.
+    /// enabled — the kernel's per-round accumulator constructor.
     fn for_probe<P: Probe>() -> Self {
         RoundProfile {
             sizes: P::ENABLED.then(Box::default),
@@ -534,7 +551,7 @@ impl RoundProfile {
 
     /// Records `copies` charged copies of a `size`-unit message into the
     /// round's size histogram, when one is attached (no-op otherwise —
-    /// the unprobed executors never allocate one). Models call this
+    /// unprobed runs never allocate one). Models call this
     /// next to their per-message charging.
     #[inline]
     pub fn observe_size(&mut self, size: u64, copies: u32) {
@@ -576,9 +593,9 @@ pub struct Poll {
 
 /// Where [`ExecModel::step`] stages validated outgoing messages.
 ///
-/// The kernel provides the implementations: a direct-delivery sink for
-/// the sequential executor and a columnar lane-staging sink for the
-/// sharded one. `step` must call [`MsgSink::deliver`] once per validated
+/// The kernel provides the implementations: a staging sink (per-actor
+/// inboxes at one shard, columnar lanes at two or more), possibly
+/// wrapped by its delivery plane's sink. `step` must call [`MsgSink::deliver`] once per validated
 /// message, in outbox order, *after* the message passed the model's
 /// checks.
 pub trait MsgSink<M: ExecModel + ?Sized> {
@@ -587,8 +604,8 @@ pub trait MsgSink<M: ExecModel + ?Sized> {
     /// network — the factor the model must charge its round accounting
     /// by.
     ///
-    /// The kernel's clean sinks always return 1; the fault executor's
-    /// sink returns 0 for a message the adversary drops (so dropped
+    /// The kernel's staging sinks always return 1; the adversary's sink
+    /// returns 0 for a message the adversary drops (so dropped
     /// messages are charged at actual delivery — i.e. not at all), 2
     /// for a duplicated message, and 1 for a delayed one (a delayed
     /// message occupies its link when transmitted; the adversary merely
@@ -634,9 +651,10 @@ pub trait ExecModel: Sync {
     /// does not, and the tally is compiled out).
     const TRACK_RECV: bool = false;
 
-    /// Whether [`run_sharded`] should move [`ExecModel::Packed`] words
-    /// through its lanes and arenas instead of cloned [`ExecModel::Msg`]
-    /// enums. Consulted once per run; the default keeps the enum plane.
+    /// Whether a sharded [`run_kernel`] should move [`ExecModel::Packed`]
+    /// words through its lanes and arenas instead of cloned
+    /// [`ExecModel::Msg`] enums. Consulted once per run; the default
+    /// keeps the enum plane.
     fn packs(&self) -> bool {
         false
     }
@@ -668,13 +686,13 @@ pub trait ExecModel: Sync {
     }
 
     /// The actor's relative per-round cost estimate, consulted once per
-    /// run by [`run_sharded`] to draw cost-balanced contiguous shard
+    /// sharded run by [`run_kernel`] to draw cost-balanced contiguous shard
     /// boundaries (see [`balanced_partition`]).
     ///
     /// CONGEST charges a vertex its adjacency degree (message work is
     /// degree-proportional); MPC charges a machine its resident words.
-    /// The estimate only steers load balancing — any value keeps the
-    /// executors bit-identical. The default is uniform cost.
+    /// The estimate only steers load balancing — any value keeps every
+    /// shard count bit-identical. The default is uniform cost.
     fn actor_cost(&self, _node: &Self::Node, _idx: usize) -> u64 {
         1
     }
@@ -718,23 +736,23 @@ pub trait ExecModel: Sync {
     }
 
     /// The payload cost of one wire copy of `msg` in the model's volume
-    /// unit (bits for CONGEST, words for MPC) — what the reliable
-    /// executor charges for each *re*transmission, matching what the
-    /// model charged the first transmission at `step` time. Only
-    /// consulted by [`arq::run_reliable`].
+    /// unit (bits for CONGEST, words for MPC) — what ARQ delivery
+    /// charges for each *re*transmission, matching what the model
+    /// charged the first transmission at `step` time. Only consulted
+    /// under [`Delivery::Reliable`].
     fn wire_charge(&self, _msg: &Self::Msg) -> u64 {
         1
     }
 
     /// The fixed-width ARQ control-lane cost (sequence number) that
     /// rides beside every data copy, in the model's volume unit. Only
-    /// consulted by [`arq::run_reliable`].
+    /// consulted under [`Delivery::Reliable`].
     fn arq_header_charge(&self) -> u64 {
         0
     }
 
     /// The cost of one cumulative-ack control frame, in the model's
-    /// volume unit. Only consulted by [`arq::run_reliable`].
+    /// volume unit. Only consulted under [`Delivery::Reliable`].
     fn arq_ack_charge(&self) -> u64 {
         1
     }
@@ -762,7 +780,7 @@ pub trait ExecModel: Sync {
 
     /// Folds the whole-run fault statistics and the convergence round
     /// into the metrics after the final round (called once per
-    /// successful run, by every executor).
+    /// successful run, whatever the delivery plane).
     ///
     /// `fault` carries the adversary's tally — all zeros except
     /// [`FaultStats::delivered`] on a clean run — and
@@ -786,22 +804,22 @@ pub struct Run<O, M> {
 }
 
 /// Cost-balanced contiguous shard boundaries; the load balancer of
-/// [`run_sharded`].
+/// [`run_kernel`].
 ///
 /// The implementation lives in the graph substrate
 /// ([`pga_graph::partition`]) so its blocked-BMM kernel can shard along
 /// the same boundaries; re-exported here unchanged for the engines and
-/// every existing call site. [`run_sharded`] preserves bit-identity for
+/// every existing call site. [`run_kernel`] preserves bit-identity for
 /// *any* contiguous partition — boundaries only affect wall-clock
 /// balance.
 pub use pga_graph::partition::balanced_partition;
 
-/// Inbox buffers of the sequential executor: one `Vec<(from, msg)>` per
-/// actor, reused across rounds.
+/// Per-actor inbox buffers of the one-shard layout: one
+/// `Vec<(from, msg)>` per actor, reused across rounds.
 type Inboxes<M> = Vec<Vec<(<M as ExecModel>::Id, <M as ExecModel>::Msg)>>;
 
-/// The direct-delivery sink of the sequential executor: messages go
-/// straight into the staging inboxes (and the receive tally).
+/// The one-shard staging sink: messages go straight into next round's
+/// per-actor inboxes (and the receive tally).
 struct DirectSink<'a, M: ExecModel> {
     staging: &'a mut [Vec<(M::Id, M::Msg)>],
     recv: &'a mut [usize],
@@ -893,11 +911,6 @@ impl<M: ExecModel> Arena<M> {
     }
 
     #[inline]
-    fn slice(&self, local: usize) -> &[(M::Id, M::Msg)] {
-        &self.data[self.offs[local]..self.offs[local + 1]]
-    }
-
-    #[inline]
     fn has_mail(&self, local: usize) -> bool {
         self.offs[local + 1] > self.offs[local]
     }
@@ -909,7 +922,36 @@ impl<M: ExecModel> Arena<M> {
     }
 }
 
-/// The lane-staging sink of the sharded executor: messages are appended
+/// Read access to one shard's inboxes for [`step_shard`]: per-actor
+/// buffers (consumed in place, so the cleared buffer keeps its capacity
+/// for the next round) or a flat arena (rebuilt wholesale by the next
+/// scatter).
+trait ShardInbox<M: ExecModel> {
+    fn inbox(&self, local: usize) -> &[(M::Id, M::Msg)];
+    fn consumed(&mut self, local: usize);
+}
+
+impl<M: ExecModel> ShardInbox<M> for [Vec<(M::Id, M::Msg)>] {
+    #[inline]
+    fn inbox(&self, local: usize) -> &[(M::Id, M::Msg)] {
+        &self[local]
+    }
+    #[inline]
+    fn consumed(&mut self, local: usize) {
+        self[local].clear();
+    }
+}
+
+impl<M: ExecModel> ShardInbox<M> for Arena<M> {
+    #[inline]
+    fn inbox(&self, local: usize) -> &[(M::Id, M::Msg)] {
+        &self.data[self.offs[local]..self.offs[local + 1]]
+    }
+    #[inline]
+    fn consumed(&mut self, _local: usize) {}
+}
+
+/// The lane-staging sink of the sharded layout: messages are appended
 /// to the columnar lane of their destination shard.
 struct LaneSink<'a, M: ExecModel> {
     lanes: &'a mut [Lane<M>],
@@ -945,6 +987,15 @@ impl<M: ExecModel> WorkerScratch<M> {
             send: M::SendScratch::default(),
             counts: Vec::new(),
             pos: Vec::new(),
+        }
+    }
+
+    /// Counting-sorts every non-empty lane of `row` by destination.
+    fn group_row(&mut self, row: &mut [Lane<M>], meta: &ShardMeta) {
+        for (j, lane) in row.iter_mut().enumerate() {
+            if !lane.pay.is_empty() {
+                group_lane_by_destination(lane, meta.len_of(j), &mut self.counts, &mut self.pos);
+            }
         }
     }
 }
@@ -998,203 +1049,89 @@ fn group_lane_by_destination<M: ExecModel>(
     lane.to.clear();
 }
 
-/// The per-round sweep: polls every actor, refreshes the activity mask,
-/// and reports global termination. Runs on the driving thread in both
-/// executors — it is allocation-free and branch-cheap, so even with the
-/// active-set policy the termination semantics stay exactly those of
-/// the classic loop. `has_mail` reports whether the actor's inbox for
-/// this round is non-empty (per-actor buffers in the sequential
-/// executor, arena CSR offsets in the sharded one).
-///
-/// Under [`Scheduling::ActiveSet`] the sweep additionally maintains a
-/// *dormancy* cache: an actor observed done **and** skippable with an
-/// empty inbox is not re-polled in later rounds until a message arrives.
-/// This is sound because a skipped actor's state is frozen (the no-op
-/// contract), so by the skip contract its `done`/`skippable` verdicts
-/// cannot change until mail wakes it; the quiescent tail of a run then
-/// costs two flag reads per actor per round instead of a model poll.
-fn sweep<M: ExecModel>(
+/// The sharded layout: per-shard flat inbox arenas, one row of outgoing
+/// lanes per sending shard plus a final row for mail a plane injects on
+/// the driving thread, and per-worker scratch — all reused across
+/// rounds.
+struct Shards<M: ExecModel> {
+    meta: ShardMeta,
+    arenas: Vec<Arena<M>>,
+    /// `num_shards + 1` rows of `num_shards` lanes; the last row holds
+    /// injected mail, scattered after every sender shard's.
+    rows: Vec<Vec<Lane<M>>>,
+    scratches: Vec<WorkerScratch<M>>,
+}
+
+/// The kernel's mailboxes: inline per-actor buffers at one shard, lanes
+/// and flat arenas at two or more.
+enum Mail<M: ExecModel> {
+    Inline {
+        inboxes: Inboxes<M>,
+        staging: Inboxes<M>,
+        send: M::SendScratch,
+    },
+    Sharded(Shards<M>),
+}
+
+impl<M: ExecModel> Mail<M> {
+    fn new(n: usize, bounds: Vec<usize>) -> Self {
+        if bounds.len() <= 2 {
+            return Mail::Inline {
+                inboxes: (0..n).map(|_| Vec::new()).collect(),
+                staging: (0..n).map(|_| Vec::new()).collect(),
+                send: M::SendScratch::default(),
+            };
+        }
+        let meta = ShardMeta::new(bounds);
+        let k = meta.num_shards();
+        Mail::Sharded(Shards {
+            arenas: (0..k).map(|j| Arena::new(meta.len_of(j))).collect(),
+            rows: (0..=k)
+                .map(|_| (0..k).map(|_| Lane::new()).collect())
+                .collect(),
+            scratches: (0..k).map(|_| WorkerScratch::new()).collect(),
+            meta,
+        })
+    }
+
+    /// Appends `msg` from `from` to actor `to`'s next inbox, after
+    /// everything the sinks stage this round. Not tallied: the caller
+    /// charges the receive volume when the plane deems it received.
+    pub(crate) fn inject(&mut self, to: usize, from: M::Id, msg: M::Msg) {
+        match self {
+            Mail::Inline { staging, .. } => staging[to].push((from, msg)),
+            Mail::Sharded(sh) => {
+                let j = sh.meta.shard_of[to] as usize;
+                let lane = &mut sh.rows[sh.meta.num_shards()][j];
+                lane.to.push((to - sh.meta.starts[j]) as u32);
+                lane.pay.push((from, msg));
+            }
+        }
+    }
+}
+
+/// Steps every active actor of one shard (first actor `base`) against
+/// its inbox, staging outgoing mail through `sink`.
+#[allow(clippy::too_many_arguments)]
+fn step_shard<M: ExecModel, I: ShardInbox<M> + ?Sized, S: MsgSink<M>>(
     model: &M,
-    nodes: &[M::Node],
-    has_mail: impl Fn(usize) -> bool,
+    base: usize,
+    nodes: &mut [M::Node],
+    inbox: &mut I,
+    active: &[bool],
     round: usize,
-    scheduling: Scheduling,
-    active: &mut [bool],
-    dormant: &mut [bool],
-) -> bool {
-    let mut all_done = true;
-    let mut in_flight = false;
-    for (i, node) in nodes.iter().enumerate() {
-        let has_mail = has_mail(i);
-        if dormant[i] && !has_mail {
-            // Frozen, done, and still unmailed: counts as done without
-            // a fresh poll.
-            active[i] = false;
+    send: &mut M::SendScratch,
+    acc: &mut RoundProfile,
+    sink: &mut S,
+) -> Result<(), M::Error> {
+    for (k, node) in nodes.iter_mut().enumerate() {
+        if !active[k] {
             continue;
         }
-        let poll = model.poll(node, i, round);
-        all_done &= poll.done;
-        in_flight |= has_mail;
-        match scheduling {
-            Scheduling::ActiveSet => {
-                active[i] = has_mail || !poll.skippable;
-                dormant[i] = poll.done && poll.skippable && !has_mail;
-            }
-            Scheduling::FullSweep => active[i] = true,
-        }
+        model.step(node, base + k, round, inbox.inbox(k), send, acc, sink)?;
+        inbox.consumed(k);
     }
-    all_done && !in_flight
-}
-
-/// Collects every actor's output at the final `round`.
-fn outputs<M: ExecModel>(model: &M, nodes: &[M::Node], round: usize) -> Vec<M::Output> {
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| model.output(node, i, round))
-        .collect()
-}
-
-/// Runs `nodes` to completion on the single-threaded reference
-/// executor.
-///
-/// # Errors
-///
-/// Returns the model's error if an actor violates the model, a program
-/// aborts, or the round budget is exhausted.
-pub fn run_sequential<M: ExecModel>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    cfg: KernelConfig,
-) -> Result<Run<M::Output, M::Metrics>, M::Error> {
-    run_sequential_probed(model, nodes, cfg, &NoopProbe)
-}
-
-/// [`run_sequential`] with a [`Probe`] attached: identical outputs,
-/// metrics, and errors (observer neutrality), plus per-round telemetry
-/// callbacks on the driving thread. With [`NoopProbe`] this
-/// monomorphizes to exactly [`run_sequential`].
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_sequential`].
-pub fn run_sequential_probed<M: ExecModel, P: Probe>(
-    model: &M,
-    mut nodes: Vec<M::Node>,
-    cfg: KernelConfig,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error> {
-    let n = nodes.len();
-    let mut metrics = M::Metrics::default();
-    model.pre_run(&nodes, &mut metrics)?;
-    let run_start = P::ENABLED.then(std::time::Instant::now);
-    if P::ENABLED {
-        probe.on_run_start(n, &[0, n], &[]);
-    }
-
-    let mut inboxes: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
-    let mut staging: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
-    let mut recv: Vec<usize> = if M::TRACK_RECV {
-        vec![0; n]
-    } else {
-        Vec::new()
-    };
-    let mut active = vec![true; n];
-    let mut dormant = vec![false; n];
-    let mut scratch = M::SendScratch::default();
-    let mut round = 0;
-    let mut delivered: u64 = 0;
-    let mut convergence = 0usize;
-
-    loop {
-        if sweep(
-            model,
-            &nodes,
-            |i| !inboxes[i].is_empty(),
-            round,
-            cfg.scheduling,
-            &mut active,
-            &mut dormant,
-        ) {
-            break;
-        }
-        if round >= cfg.max_rounds {
-            return Err(model.round_limit_error(cfg.max_rounds));
-        }
-
-        let round_start = P::ENABLED.then(std::time::Instant::now);
-        if P::ENABLED {
-            probe.on_round_start(round);
-        }
-        let mut acc = RoundProfile::for_probe::<P>();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            let mut sink = DirectSink::<M> {
-                staging: &mut staging,
-                recv: &mut recv,
-            };
-            model.step(
-                node,
-                i,
-                round,
-                &inboxes[i],
-                &mut scratch,
-                &mut acc,
-                &mut sink,
-            )?;
-            // Consumed in place; the cleared buffer keeps its capacity
-            // and becomes next round's staging arena after the swap.
-            inboxes[i].clear();
-        }
-
-        if M::TRACK_RECV {
-            model.check_recv(&recv, round)?;
-        }
-        if acc.messages > 0 {
-            // Messages staged this round are consumed next round, so
-            // the plane can only be quiet from the round after that.
-            convergence = round + 2;
-        }
-        delivered += acc.messages;
-        model.end_round(&acc, &recv, round, &mut metrics);
-        if M::TRACK_RECV {
-            recv.fill(0);
-        }
-        std::mem::swap(&mut inboxes, &mut staging);
-        if P::ENABLED {
-            probe.on_round_end(&RoundObs {
-                round,
-                wall_ns: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                messages: acc.messages,
-                volume: acc.volume,
-                peak_link: acc.peak_link,
-                active: active.iter().filter(|&&a| a).count(),
-                sizes: acc.sizes.as_deref(),
-            });
-        }
-        round += 1;
-    }
-
-    model.finish(
-        &mut metrics,
-        &FaultStats {
-            delivered,
-            ..FaultStats::default()
-        },
-        convergence,
-    );
-    if P::ENABLED {
-        probe.on_run_end(
-            round,
-            run_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        );
-    }
-    Ok(Run {
-        outputs: outputs(model, &nodes, round),
-        metrics,
-    })
+    Ok(())
 }
 
 /// Splits `slice` into the contiguous chunks delimited by `bounds`
@@ -1209,90 +1146,44 @@ fn split_by_bounds<'a, T>(mut slice: &'a mut [T], bounds: &[usize]) -> Vec<&'a m
     out
 }
 
-/// Executes one round for the shard whose first actor is `base`:
-/// steps every active actor against its arena inbox slice, stages
-/// outgoing messages into the shard's columnar lanes, and
-/// counting-sorts each lane by destination so the scatter phase can
-/// drain it sequentially.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_round<M: ExecModel, P: Probe>(
-    model: &M,
-    base: usize,
-    shard_nodes: &mut [M::Node],
-    arena: &Arena<M>,
-    shard_active: &[bool],
-    lanes: &mut [Lane<M>],
-    meta: &ShardMeta,
-    scratch: &mut WorkerScratch<M>,
-    round: usize,
-) -> Result<RoundProfile, M::Error> {
-    let mut acc = RoundProfile::for_probe::<P>();
-    {
-        let mut sink = LaneSink::<M> {
-            lanes,
-            starts: &meta.starts,
-            shard_of: &meta.shard_of,
-        };
-        for (k, node) in shard_nodes.iter_mut().enumerate() {
-            if !shard_active[k] {
-                continue;
-            }
-            model.step(
-                node,
-                base + k,
-                round,
-                arena.slice(k),
-                &mut scratch.send,
-                &mut acc,
-                &mut sink,
-            )?;
-        }
-    }
-    for (j, lane) in lanes.iter_mut().enumerate() {
-        if !lane.pay.is_empty() {
-            group_lane_by_destination(lane, meta.len_of(j), &mut scratch.counts, &mut scratch.pos);
-        }
-    }
-    Ok(acc)
-}
+/// One incoming lane viewed by the scatter: its CSR offsets, a draining
+/// cursor over its pre-grouped payloads, and whether the scatter tallies
+/// its receive volume (sender rows yes; injected mail was tallied by
+/// its plane).
+type LanePart<'a, M> = (
+    &'a [u32],
+    std::vec::Drain<'a, (<M as ExecModel>::Id, <M as ExecModel>::Msg)>,
+    bool,
+);
 
 /// Scatter phase for one destination shard: rebuilds the shard's flat
 /// inbox arena from its incoming (pre-grouped) lanes. For every
 /// destination actor, lanes are drained in ascending sender-shard
-/// order, so each inbox ends up sorted exactly as the sequential
-/// executor delivers. Also accumulates the receive tally when the model
-/// tracks it.
-/// One incoming lane viewed by the scatter: its CSR offsets and a
-/// draining cursor over its pre-grouped payloads.
-type LanePart<'a, M> = (
-    &'a [u32],
-    std::vec::Drain<'a, (<M as ExecModel>::Id, <M as ExecModel>::Msg)>,
-);
-
+/// order, then the injected row, so each inbox ends up sorted exactly
+/// as the one-shard layout delivers.
 fn merge_shard<M: ExecModel>(
     model: &M,
     arena: &mut Arena<M>,
-    column: Vec<&mut Lane<M>>,
+    column: Vec<(&mut Lane<M>, bool)>,
     shard_len: usize,
     mut recv_dst: Option<&mut [usize]>,
 ) {
     arena.data.clear();
-    // Split each incoming lane into its CSR offsets and a draining
-    // cursor over the pre-grouped payloads (disjoint fields of the same
-    // lane, so the borrows coexist).
     let mut parts: Vec<LanePart<'_, M>> = column
         .into_iter()
-        .filter(|lane| !lane.pay.is_empty())
-        .map(|lane| (&lane.offs[..], lane.pay.drain(..)))
+        .filter(|(lane, _)| !lane.pay.is_empty())
+        .map(|(lane, tally)| (&lane.offs[..], lane.pay.drain(..), tally))
         .collect();
     for local in 0..shard_len {
         arena.offs[local] = arena.data.len();
-        for (offs, drain) in parts.iter_mut() {
+        for (offs, drain, tally) in parts.iter_mut() {
             let cnt = (offs[local + 1] - offs[local]) as usize;
             for _ in 0..cnt {
                 let (from, msg) = drain.next().expect("lane CSR covers its payloads");
-                if let Some(recv) = recv_dst.as_deref_mut() {
-                    recv[local] += model.recv_charge(&msg);
+                if *tally {
+                    if let Some(recv) = recv_dst.as_deref_mut() {
+                        recv[local] += model.recv_charge(&msg);
+                    }
                 }
                 arena.data.push((from, msg));
             }
@@ -1302,7 +1193,72 @@ fn merge_shard<M: ExecModel>(
     arena.dirty = true;
 }
 
-/// Per-worker scratch of the packed wrapper: the inner model's own
+/// Makes everything staged or injected since the last publish the
+/// actors' current inboxes: a buffer swap at one shard, the
+/// counting-sort scatter at two or more.
+fn publish<M>(model: &M, mail: &mut Mail<M>, recv: &mut [usize])
+where
+    M: ExecModel,
+    M::Msg: Send,
+{
+    let Shards {
+        meta,
+        arenas,
+        rows,
+        scratches,
+    } = match mail {
+        Mail::Inline {
+            inboxes, staging, ..
+        } => {
+            std::mem::swap(inboxes, staging);
+            return;
+        }
+        Mail::Sharded(sh) => sh,
+    };
+    let k = meta.num_shards();
+    // Sender rows were grouped by their workers; the injected row is
+    // grouped here, on the driving thread.
+    scratches[0].group_row(&mut rows[k], meta);
+    // Scatter only into shards with incoming mail; quiet shards just
+    // clear leftover content. The gate is lane emptiness, so it cannot
+    // drift from whatever the model counts in its round profile.
+    let mut incoming = vec![false; k];
+    for row in rows.iter() {
+        for (j, lane) in row.iter().enumerate() {
+            incoming[j] |= !lane.pay.is_empty();
+        }
+    }
+    if incoming.iter().any(|&b| b) || arenas.iter().any(|a| a.dirty) {
+        let mut columns: Vec<Vec<(&mut Lane<M>, bool)>> =
+            (0..k).map(|_| Vec::with_capacity(k + 1)).collect();
+        for (r, row) in rows.iter_mut().enumerate() {
+            for (j, lane) in row.iter_mut().enumerate() {
+                columns[j].push((lane, r < k));
+            }
+        }
+        let mut recv_chunks = if M::TRACK_RECV {
+            split_by_bounds(recv, &meta.starts)
+        } else {
+            Vec::new()
+        }
+        .into_iter();
+        std::thread::scope(|s| {
+            for (j, (arena, column)) in arenas.iter_mut().zip(columns).enumerate() {
+                let recv_dst = recv_chunks.next();
+                if !incoming[j] {
+                    if arena.dirty {
+                        arena.clear();
+                    }
+                    continue;
+                }
+                let shard_len = meta.len_of(j);
+                s.spawn(move || merge_shard(model, arena, column, shard_len, recv_dst));
+            }
+        });
+    }
+}
+
+/// Per-shard state of the enum→packed adapter: the inner model's own
 /// validation scratch plus the decode buffer the wrapper rebuilds for
 /// each stepped actor's inbox.
 struct PackScratch<M: ExecModel> {
@@ -1320,18 +1276,18 @@ impl<M: ExecModel> Default for PackScratch<M> {
 }
 
 /// The enum→packed adapter: an [`ExecModel`] whose message type is the
-/// inner model's [`ExecModel::Packed`] word. [`run_sharded`] wraps a
-/// packing model in this once per run, so the whole exchange — lanes,
-/// counting sort, scatter, arenas — moves `Copy` words; `step` decodes
-/// the inbox slice into a reusable scratch buffer, runs the inner
-/// model's step (validation and charging happen there, on the decoded
-/// messages), and re-encodes each validated outgoing message as it
-/// enters its lane.
+/// inner model's [`ExecModel::Packed`] word. [`run_kernel`] wraps a
+/// packing model in this once per sharded run, so the whole exchange —
+/// lanes, counting sort, scatter, arenas — moves `Copy` words; `step`
+/// decodes the inbox slice into a reusable scratch buffer, runs the
+/// inner model's step (validation and charging happen there, on the
+/// decoded messages), and re-encodes each validated outgoing message as
+/// it enters its lane.
 struct PackedModel<'m, M>(&'m M);
 
 /// The packing sink adapter: receives validated enum messages from the
 /// inner model's `step` and forwards their packed words to the outer
-/// (lane or direct) sink.
+/// sink.
 struct PackSink<'a, 'm, M: ExecModel, S> {
     pm: &'a PackedModel<'m, M>,
     sink: &'a mut S,
@@ -1447,91 +1403,242 @@ where
     }
 }
 
-/// Runs `nodes` to completion on the sharded multi-threaded executor.
-///
-/// Actors are partitioned into at most `threads` contiguous shards with
-/// cost-balanced boundaries ([`balanced_partition`] over
-/// [`ExecModel::actor_cost`]); every round each shard executes its
-/// actors' `round` callbacks on its own worker thread, staging outgoing
-/// messages into columnar per-destination-shard lanes, and the exchange
-/// counting-sorts and scatters the lanes into per-shard flat inbox
-/// arenas (see the crate docs for the two-pass layout). Because shards
-/// cover ascending id ranges, each shard visits its actors in id order,
-/// and the scatter drains sender shards in ascending order per
-/// destination, every inbox is delivered in exactly the sequential
-/// executor's order — **bit-identical** outputs, metrics, and errors at
-/// every thread count, without any sorting.
-///
-/// When the model enables its packed codec ([`ExecModel::packs`]), the
-/// exchange moves [`ExecModel::Packed`] words instead of cloned enums
-/// — same outputs, metrics, and errors by the codec contract (see the
-/// crate docs on packed lanes).
-///
-/// A model violation aborts with the lowest-indexed shard's error,
-/// which is the lowest-indexed actor's error, matching the sequential
-/// executor (though `round` callbacks of higher-id actors in other
-/// shards may already have executed by then). Shards whose actors are
-/// all inactive this round are not spawned at all.
-///
-/// Callers are expected to route `threads <= 1` (or shard sizes below
-/// two actors) to [`run_sequential`]; this function falls back by
-/// itself if they do not.
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_sequential`].
-pub fn run_sharded<M>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-{
-    run_sharded_probed(model, nodes, threads, cfg, &NoopProbe)
-}
+/// A delivery plane: the sink it stacks on the kernel's staging sink,
+/// plus the hooks the round loop calls around stepping. [`Direct`] is
+/// the identity; [`fault::FaultPlane`] routes mail through the
+/// adversary, and [`arq::ArqPlane`] runs ARQ over it.
+pub(crate) trait Plane<M: ExecModel> {
+    /// Per-shard state behind the plane's sink, reused across rounds.
+    type Shard: Send;
+    /// Whether the plane injects faults (and so reports fault deltas and
+    /// a per-shard split to the probe even at one shard).
+    const FAULTS: bool = false;
+    /// Whether actors step only on ticks where [`Plane::begin`] opens
+    /// the barrier and someone is still live (the ARQ tick/round split);
+    /// otherwise every round steps.
+    const GATED: bool = false;
 
-/// [`run_sharded`] with a [`Probe`] attached: identical outputs,
-/// metrics, and errors (observer neutrality), plus per-round and
-/// per-shard telemetry callbacks on the driving thread (workers only
-/// *time* their own shard). With [`NoopProbe`] this monomorphizes to
-/// exactly [`run_sharded`].
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_sequential`].
-pub fn run_sharded_probed<M, P>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
-{
-    if model.packs() {
-        run_sharded_inner(&PackedModel(model), nodes, threads, cfg, probe)
-    } else {
-        run_sharded_inner(model, nodes, threads, cfg, probe)
+    /// Fresh per-shard state.
+    fn shard(&self) -> Self::Shard;
+    /// The sink one shard's actors deliver into, stacked on `stage`;
+    /// `tick` is the kernel clock.
+    fn sink<S: MsgSink<M>>(shard: &mut Self::Shard, stage: S, tick: usize) -> impl MsgSink<M>;
+
+    /// Start of tick `tick`, before the sweep. Returns whether the
+    /// barrier is open (actors may be swept and stepped) and how many
+    /// messages the plane delivered into `mail`.
+    fn begin(
+        &mut self,
+        _model: &M,
+        _tick: usize,
+        _mail: &mut Mail<M>,
+        _recv: &mut [usize],
+    ) -> (bool, u64) {
+        (true, 0)
+    }
+    /// Halted actors (terminated, never stepped), if the plane crashes
+    /// any.
+    fn crashed(&self) -> Option<&[bool]> {
+        None
+    }
+    /// Whether nothing is left in the plane's own queues, so a quiescent
+    /// sweep ends the run.
+    fn idle(&self) -> bool {
+        true
+    }
+    /// After stepping, before the publish: drains the shards' state and
+    /// moves the plane's own traffic. `stepped` is the copy count the
+    /// round's sinks reported (what the models charged); returns how
+    /// many messages reach next round's inboxes. Direct delivery stages
+    /// every charged copy.
+    #[allow(clippy::too_many_arguments)]
+    fn exchange(
+        &mut self,
+        _model: &M,
+        _shards: &mut [Self::Shard],
+        _tick: usize,
+        stepped: u64,
+        _mail: &mut Mail<M>,
+        _recv: &mut [usize],
+        _acc: &mut RoundProfile,
+    ) -> u64 {
+        stepped
+    }
+    /// The whole-run fault tally so far (`delivered` is the kernel's).
+    fn stats(&self) -> FaultStats {
+        FaultStats::default()
+    }
+    /// The depth of the plane's in-network queue, for the probe.
+    fn depth(&self) -> usize {
+        0
     }
 }
 
-/// The sharded round loop proper, over whichever wire representation
-/// ([`run_sharded_probed`]'s dispatch) the run uses.
-fn run_sharded_inner<M, P>(
+/// Direct delivery: the kernel's staging sinks, unwrapped.
+struct Direct;
+
+impl<M: ExecModel> Plane<M> for Direct {
+    type Shard = ();
+
+    fn shard(&self) {}
+    fn sink<S: MsgSink<M>>(_shard: &mut (), stage: S, _tick: usize) -> impl MsgSink<M> {
+        stage
+    }
+}
+
+/// How a round's messages travel (see [`Plan::delivery`]).
+#[derive(Clone, Copy)]
+pub enum Delivery<'a> {
+    /// Straight into next round's inboxes.
+    Direct,
+    /// Through an [`Adversary`] that may drop, duplicate, or delay every
+    /// message and crash actors (see [`fault`]).
+    Adversary(&'a dyn Adversary),
+    /// Through the sliding-window ARQ layer over an [`Adversary`] (see
+    /// [`arq`]).
+    Reliable(ReliabilitySpec, &'a dyn Adversary),
+}
+
+/// One run resolved for [`run_kernel`]: the budget, the scheduling
+/// policy, the shard count, and the delivery plane.
+#[derive(Clone, Copy)]
+pub struct Plan<'a> {
+    /// Abort with [`ExecModel::round_limit_error`] after this many
+    /// kernel rounds (ticks, under ARQ).
+    pub max_rounds: usize,
+    /// The round-scheduling policy.
+    pub scheduling: Scheduling,
+    /// Shards to step on; `0` and `1` step inline on the calling thread,
+    /// as does any count that would leave a shard with fewer than two
+    /// actors.
+    pub shards: usize,
+    /// How messages travel between rounds.
+    pub delivery: Delivery<'a>,
+}
+
+impl<'a> Plan<'a> {
+    /// Resolves `cfg` for a run over `actors` actors: the round budget
+    /// is [`RunConfig::max_rounds`] or else `max_rounds`, and the
+    /// engine becomes a shard count — one for [`Engine::Sequential`],
+    /// the explicit count for [`Engine::Parallel`], and for
+    /// [`Engine::parallel_auto`] one per available CPU, or one below
+    /// [`PARALLEL_MIN_NODES`] actors. Delivery is ARQ over `adversary`
+    /// when [`RunConfig::reliability`] is set, else `adversary` alone
+    /// when [`RunConfig::fault`] is set, else direct.
+    pub fn new(
+        cfg: &RunConfig,
+        actors: usize,
+        max_rounds: usize,
+        adversary: &'a dyn Adversary,
+    ) -> Self {
+        let shards = match cfg.engine {
+            Engine::Sequential => 1,
+            Engine::Parallel { threads: 0 } if actors < PARALLEL_MIN_NODES => 1,
+            Engine::Parallel { threads: 0 } => {
+                std::thread::available_parallelism().map_or(1, |p| p.get())
+            }
+            Engine::Parallel { threads } => threads,
+        };
+        let delivery = match (cfg.reliability, cfg.fault) {
+            (Some(spec), _) => Delivery::Reliable(spec, adversary),
+            (None, Some(_)) => Delivery::Adversary(adversary),
+            (None, None) => Delivery::Direct,
+        };
+        Plan {
+            max_rounds: cfg.max_rounds.unwrap_or(max_rounds),
+            scheduling: cfg.scheduling,
+            shards,
+            delivery,
+        }
+    }
+}
+
+/// The per-round sweep: polls every actor, refreshes the activity mask,
+/// and reports global quiescence (all live actors done, no mail). Runs
+/// on the driving thread — it is allocation-free and branch-cheap, so
+/// even with the active-set policy the termination semantics stay
+/// exactly those of the classic loop. `has_mail` reports whether the
+/// actor's inbox for this round is non-empty; `crashed` actors count as
+/// terminated and are never stepped (mail to them is dropped in
+/// flight).
+///
+/// Under [`Scheduling::ActiveSet`] the sweep additionally maintains a
+/// *dormancy* cache: an actor observed done **and** skippable with an
+/// empty inbox is not re-polled in later rounds until a message arrives.
+/// This is sound because a skipped actor's state is frozen (the no-op
+/// contract), so by the skip contract its `done`/`skippable` verdicts
+/// cannot change until mail wakes it; the quiescent tail of a run then
+/// costs two flag reads per actor per round instead of a model poll.
+#[allow(clippy::too_many_arguments)]
+fn sweep<M: ExecModel>(
     model: &M,
-    mut nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
+    nodes: &[M::Node],
+    has_mail: impl Fn(usize) -> bool,
+    crashed: Option<&[bool]>,
+    round: usize,
+    scheduling: Scheduling,
+    active: &mut [bool],
+    dormant: &mut [bool],
+) -> bool {
+    let mut all_done = true;
+    let mut in_flight = false;
+    for (i, node) in nodes.iter().enumerate() {
+        if crashed.is_some_and(|c| c[i]) {
+            active[i] = false;
+            continue;
+        }
+        let has_mail = has_mail(i);
+        if dormant[i] && !has_mail {
+            // Frozen, done, and still unmailed: counts as done without
+            // a fresh poll.
+            active[i] = false;
+            continue;
+        }
+        let poll = model.poll(node, i, round);
+        all_done &= poll.done;
+        in_flight |= has_mail;
+        match scheduling {
+            Scheduling::ActiveSet => {
+                active[i] = has_mail || !poll.skippable;
+                dormant[i] = poll.done && poll.skippable && !has_mail;
+            }
+            Scheduling::FullSweep => active[i] = true,
+        }
+    }
+    all_done && !in_flight
+}
+
+/// Nanoseconds since `start` (0 when the probe is off).
+fn ns_since(start: Option<std::time::Instant>) -> u64 {
+    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// Runs `nodes` to completion under `plan`, reporting to `probe`.
+///
+/// This is the workspace's one round loop. Each round it sweeps the
+/// actors (termination and scheduling), steps the active ones — inline
+/// at one shard, one worker per shard with an active actor otherwise —
+/// and delivers their mail through the plan's [`Delivery`] plane. Shards
+/// are contiguous and cost-balanced ([`balanced_partition`] over
+/// [`ExecModel::actor_cost`]); a model whose codec is on
+/// ([`ExecModel::packs`]) moves packed words through the sharded
+/// exchange. Every inbox is delivered in ascending sender order, then
+/// outbox order, so outputs, metrics, and errors are **bit-identical**
+/// at every shard count, scheduling policy, and codec plane, and a run
+/// under an adversary that never interferes reproduces direct delivery
+/// bit for bit. Attaching a [`Probe`] never changes them either
+/// (observer neutrality); [`NoopProbe`] compiles every callback away.
+///
+/// # Errors
+///
+/// Returns the model's error: the lowest-indexed actor's violation
+/// (though with several shards, `step` calls of higher-indexed actors in
+/// other shards may already have run), or the round-limit error when
+/// the budget is exhausted.
+pub fn run_kernel<M, P>(
+    model: &M,
+    nodes: Vec<M::Node>,
+    plan: &Plan<'_>,
     probe: &P,
 ) -> Result<Run<M::Output, M::Metrics>, M::Error>
 where
@@ -1542,27 +1649,86 @@ where
     P: Probe,
 {
     let n = nodes.len();
-    if threads <= 1 || n < 2 * threads {
-        return run_sequential_probed(model, nodes, cfg, probe);
+    let (bounds, costs) = if plan.shards <= 1 || n < 2 * plan.shards {
+        (vec![0, n], Vec::new())
+    } else {
+        let costs: Vec<u64> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| model.actor_cost(node, i))
+            .collect();
+        (balanced_partition(&costs, plan.shards), costs)
+    };
+    if model.packs() && bounds.len() > 2 {
+        with_plane(&PackedModel(model), nodes, plan, bounds, &costs, probe)
+    } else {
+        with_plane(model, nodes, plan, bounds, &costs, probe)
     }
-    let costs: Vec<u64> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| model.actor_cost(node, i))
-        .collect();
-    let meta = ShardMeta::new(balanced_partition(&costs, threads));
-    let num_shards = meta.num_shards();
-    if num_shards <= 1 {
-        return run_sequential_probed(model, nodes, cfg, probe);
-    }
+}
 
+/// Instantiates the round loop for the plan's delivery plane.
+fn with_plane<M, P>(
+    model: &M,
+    nodes: Vec<M::Node>,
+    plan: &Plan<'_>,
+    bounds: Vec<usize>,
+    costs: &[u64],
+    probe: &P,
+) -> Result<Run<M::Output, M::Metrics>, M::Error>
+where
+    M: ExecModel,
+    M::Node: Send,
+    M::Msg: Send,
+    M::Error: Send,
+    P: Probe,
+{
+    let n = nodes.len();
+    match plan.delivery {
+        Delivery::Direct => round_loop(model, nodes, plan, bounds, costs, Direct, probe),
+        Delivery::Adversary(adversary) => {
+            let plane = fault::FaultPlane::new(adversary, n);
+            round_loop(model, nodes, plan, bounds, costs, plane, probe)
+        }
+        Delivery::Reliable(spec, adversary) => {
+            let plane = arq::ArqPlane::new(model, spec, adversary, n);
+            round_loop(model, nodes, plan, bounds, costs, plane, probe)
+        }
+    }
+}
+
+/// The round loop proper (see [`run_kernel`]).
+#[allow(clippy::too_many_lines)]
+fn round_loop<M, PL, P>(
+    model: &M,
+    mut nodes: Vec<M::Node>,
+    plan: &Plan<'_>,
+    bounds: Vec<usize>,
+    costs: &[u64],
+    mut plane: PL,
+    probe: &P,
+) -> Result<Run<M::Output, M::Metrics>, M::Error>
+where
+    M: ExecModel,
+    M::Node: Send,
+    M::Msg: Send,
+    M::Error: Send,
+    PL: Plane<M>,
+    P: Probe,
+{
+    let n = nodes.len();
     let mut metrics = M::Metrics::default();
     model.pre_run(&nodes, &mut metrics)?;
     let run_start = P::ENABLED.then(std::time::Instant::now);
     if P::ENABLED {
-        probe.on_run_start(n, &meta.starts, &costs);
+        probe.on_run_start(n, &bounds, costs);
     }
+    let sharded = bounds.len() > 2;
+    // Per-shard timings and exchange spans are reported whenever there
+    // is a split to report; a clean inline run has none.
+    let split_probe = P::ENABLED && (sharded || PL::FAULTS);
 
+    let mut pshards: Vec<PL::Shard> = (1..bounds.len()).map(|_| plane.shard()).collect();
+    let mut mail = Mail::<M>::new(n, bounds);
     let mut recv: Vec<usize> = if M::TRACK_RECV {
         vec![0; n]
     } else {
@@ -1570,165 +1736,202 @@ where
     };
     let mut active = vec![true; n];
     let mut dormant = vec![false; n];
-    // Per-shard state, all reused across rounds: flat inbox arenas, one
-    // row of outgoing lanes per sending shard, and worker scratch.
-    let mut arenas: Vec<Arena<M>> = (0..num_shards)
-        .map(|j| Arena::new(meta.len_of(j)))
-        .collect();
-    let mut lane_rows: Vec<Vec<Lane<M>>> = (0..num_shards)
-        .map(|_| (0..num_shards).map(|_| Lane::new()).collect())
-        .collect();
-    let mut scratches: Vec<WorkerScratch<M>> =
-        (0..num_shards).map(|_| WorkerScratch::new()).collect();
-    let mut round = 0;
+    // Previous round's cumulative fault tally, so the probe can be
+    // handed per-round deltas.
+    let mut fault_seen = FaultStats::default();
+    let mut tick = 0;
+    let mut app_round = 0;
     let mut delivered: u64 = 0;
     let mut convergence = 0usize;
 
     loop {
-        if sweep(
-            model,
-            &nodes,
-            |i| {
-                let j = meta.shard_of[i] as usize;
-                arenas[j].has_mail(i - meta.starts[j])
-            },
-            round,
-            cfg.scheduling,
-            &mut active,
-            &mut dormant,
-        ) {
-            break;
+        let (open, mut delivered_now) = plane.begin(model, tick, &mut mail, &mut recv);
+        let mut quiescent = false;
+        if open {
+            if PL::GATED {
+                publish(model, &mut mail, &mut recv);
+            }
+            let crashed = plane.crashed();
+            quiescent = match &mail {
+                Mail::Inline { inboxes, .. } => sweep(
+                    model,
+                    &nodes,
+                    |i| !inboxes[i].is_empty(),
+                    crashed,
+                    app_round,
+                    plan.scheduling,
+                    &mut active,
+                    &mut dormant,
+                ),
+                Mail::Sharded(sh) => sweep(
+                    model,
+                    &nodes,
+                    |i| {
+                        let j = sh.meta.shard_of[i] as usize;
+                        sh.arenas[j].has_mail(i - sh.meta.starts[j])
+                    },
+                    crashed,
+                    app_round,
+                    plan.scheduling,
+                    &mut active,
+                    &mut dormant,
+                ),
+            };
+            if quiescent && plane.idle() {
+                break;
+            }
         }
-        if round >= cfg.max_rounds {
-            return Err(model.round_limit_error(cfg.max_rounds));
+        if tick >= plan.max_rounds {
+            return Err(model.round_limit_error(plan.max_rounds));
         }
 
         let round_start = P::ENABLED.then(std::time::Instant::now);
         if P::ENABLED {
-            probe.on_round_start(round);
+            probe.on_round_start(tick);
         }
-
-        // Phase A: every shard with at least one active actor steps its
-        // actors on a worker thread and pre-groups its outgoing lanes.
-        // Workers time their own shard (probed runs only); callbacks
-        // stay on the driving thread.
-        type ShardOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
-        let shard_results: Vec<Option<ShardOut<M>>> = {
-            let meta = &meta;
-            let active = &active;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = split_by_bounds(&mut nodes, &meta.starts)
-                    .into_iter()
-                    .zip(arenas.iter_mut())
-                    .zip(lane_rows.iter_mut())
-                    .zip(scratches.iter_mut())
-                    .enumerate()
-                    .map(|(si, (((shard_nodes, arena), lanes), scratch))| {
-                        let act = &active[meta.starts[si]..meta.starts[si + 1]];
-                        if act.iter().any(|&a| a) {
-                            Some(s.spawn(move || {
-                                let shard_start = P::ENABLED.then(std::time::Instant::now);
-                                let r = run_shard_round::<M, P>(
-                                    model,
-                                    meta.starts[si],
-                                    shard_nodes,
-                                    arena,
-                                    act,
-                                    lanes,
-                                    meta,
-                                    scratch,
-                                    round,
-                                );
-                                let ns = shard_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                (r, ns)
-                            }))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
-                    .collect()
-            })
-        };
-
-        // The lowest-indexed shard's error is the lowest-indexed
-        // actor's error, exactly like the sequential executor.
-        let mut acc = RoundProfile::default();
-        for (si, r) in shard_results.into_iter().enumerate() {
-            let Some((r, shard_ns)) = r else { continue };
-            let p = r?;
-            if P::ENABLED {
-                probe.on_shard(round, si, shard_ns, p.messages, p.volume);
-            }
-            acc.merge(&p);
-        }
-
-        // Phase B: scatter the lanes into the destination arenas, one
-        // worker per destination shard with incoming mail; quiet shards
-        // only clear leftover content. The gate is executor-owned (lane
-        // emptiness), so it cannot drift from whatever the model counts
-        // in `acc.messages`.
-        let mut incoming = vec![false; num_shards];
-        for row in &lane_rows {
-            for (j, lane) in row.iter().enumerate() {
-                incoming[j] |= !lane.pay.is_empty();
-            }
-        }
-        let exchange_start = P::ENABLED.then(std::time::Instant::now);
-        if incoming.iter().any(|&b| b) || arenas.iter().any(|a| a.dirty) {
-            let mut columns: Vec<Vec<&mut Lane<M>>> = (0..num_shards)
-                .map(|_| Vec::with_capacity(num_shards))
-                .collect();
-            for row in lane_rows.iter_mut() {
-                for (j, lane) in row.iter_mut().enumerate() {
-                    columns[j].push(lane);
-                }
-            }
-            let recv_chunks: Vec<&mut [usize]> = if M::TRACK_RECV {
-                split_by_bounds(&mut recv, &meta.starts)
-            } else {
-                Vec::new()
-            };
-            std::thread::scope(|s| {
-                let mut recv_chunks = recv_chunks.into_iter();
-                for (j, (arena, column)) in arenas.iter_mut().zip(columns).enumerate() {
-                    let recv_dst = recv_chunks.next();
-                    if !incoming[j] {
-                        if arena.dirty {
-                            arena.clear();
-                        }
-                        continue;
+        let mut acc = RoundProfile::for_probe::<P>();
+        if open && !(PL::GATED && quiescent) {
+            match &mut mail {
+                Mail::Inline {
+                    inboxes,
+                    staging,
+                    send,
+                } => {
+                    let shard_start = split_probe.then(std::time::Instant::now);
+                    let stage = DirectSink::<M> {
+                        staging,
+                        recv: &mut recv,
+                    };
+                    let mut sink = PL::sink(&mut pshards[0], stage, tick);
+                    step_shard(
+                        model,
+                        0,
+                        &mut nodes,
+                        &mut inboxes[..],
+                        &active,
+                        app_round,
+                        send,
+                        &mut acc,
+                        &mut sink,
+                    )?;
+                    if split_probe {
+                        probe.on_shard(tick, 0, ns_since(shard_start), acc.messages, acc.volume);
                     }
-                    let shard_len = meta.len_of(j);
-                    s.spawn(move || merge_shard(model, arena, column, shard_len, recv_dst));
                 }
-            });
+                Mail::Sharded(Shards {
+                    meta,
+                    arenas,
+                    rows,
+                    scratches,
+                }) => {
+                    // Every shard with an active actor steps on its own
+                    // worker and pre-groups its outgoing lanes; workers
+                    // time their own shard, callbacks stay here.
+                    type ShardOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
+                    let meta = &*meta;
+                    let active = &active;
+                    let results: Vec<Option<ShardOut<M>>> = std::thread::scope(|s| {
+                        let handles: Vec<_> = split_by_bounds(&mut nodes, &meta.starts)
+                            .into_iter()
+                            .zip(arenas.iter_mut())
+                            .zip(rows.iter_mut())
+                            .zip(scratches.iter_mut())
+                            .zip(pshards.iter_mut())
+                            .enumerate()
+                            .map(|(si, ((((shard_nodes, arena), lanes), scratch), pshard))| {
+                                let base = meta.starts[si];
+                                let act = &active[base..meta.starts[si + 1]];
+                                act.iter().any(|&a| a).then(|| {
+                                    s.spawn(move || {
+                                        let shard_start = P::ENABLED.then(std::time::Instant::now);
+                                        let mut acc = RoundProfile::for_probe::<P>();
+                                        let stage = LaneSink::<M> {
+                                            lanes,
+                                            starts: &meta.starts,
+                                            shard_of: &meta.shard_of,
+                                        };
+                                        let r = step_shard(
+                                            model,
+                                            base,
+                                            shard_nodes,
+                                            arena,
+                                            act,
+                                            app_round,
+                                            &mut scratch.send,
+                                            &mut acc,
+                                            &mut PL::sink(pshard, stage, tick),
+                                        );
+                                        if r.is_ok() {
+                                            scratch.group_row(lanes, meta);
+                                        }
+                                        (r.map(|()| acc), ns_since(shard_start))
+                                    })
+                                })
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| {
+                                h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            })
+                            .collect()
+                    });
+                    // The lowest-indexed shard's error is the
+                    // lowest-indexed actor's error, as at one shard.
+                    for (si, r) in results.into_iter().enumerate() {
+                        let Some((r, shard_ns)) = r else { continue };
+                        let p = r?;
+                        if P::ENABLED {
+                            probe.on_shard(tick, si, shard_ns, p.messages, p.volume);
+                        }
+                        acc.merge(&p);
+                    }
+                }
+            }
+            app_round += 1;
         }
-        if P::ENABLED {
-            probe.on_exchange(
-                round,
-                exchange_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
+
+        let exchange_start = split_probe.then(std::time::Instant::now);
+        let stepped = acc.messages;
+        delivered_now += plane.exchange(
+            model,
+            &mut pshards,
+            tick,
+            stepped,
+            &mut mail,
+            &mut recv,
+            &mut acc,
+        );
+        if !PL::GATED {
+            publish(model, &mut mail, &mut recv);
+        }
+        if split_probe {
+            probe.on_exchange(tick, ns_since(exchange_start));
         }
 
         if M::TRACK_RECV {
-            model.check_recv(&recv, round)?;
+            model.check_recv(&recv, tick)?;
         }
-        if acc.messages > 0 {
-            convergence = round + 2;
+        if delivered_now > 0 {
+            // Mail delivered now is consumed next round, so the plane
+            // can only be quiet from the round after that.
+            convergence = tick + 2;
         }
-        delivered += acc.messages;
-        model.end_round(&acc, &recv, round, &mut metrics);
-        if M::TRACK_RECV {
-            recv.fill(0);
-        }
+        delivered += delivered_now;
+        model.end_round(&acc, &recv, tick, &mut metrics);
         if P::ENABLED {
+            if PL::FAULTS {
+                let now = plane.stats();
+                let delta = FaultStats {
+                    delivered: delivered_now,
+                    ..now.since(&fault_seen)
+                };
+                probe.on_fault_event(tick, &delta, plane.depth());
+                fault_seen = now;
+            }
             probe.on_round_end(&RoundObs {
-                round,
-                wall_ns: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                round: tick,
+                wall_ns: ns_since(round_start),
                 messages: acc.messages,
                 volume: acc.volume,
                 peak_link: acc.peak_link,
@@ -1736,33 +1939,45 @@ where
                 sizes: acc.sizes.as_deref(),
             });
         }
-        round += 1;
+        if M::TRACK_RECV {
+            recv.fill(0);
+        }
+        tick += 1;
     }
 
-    model.finish(
-        &mut metrics,
-        &FaultStats {
-            delivered,
-            ..FaultStats::default()
-        },
-        convergence,
-    );
+    // Every delivered copy was charged when it was sent (drops 0,
+    // duplicates 2), and the run cannot end with mail still queued in
+    // the plane, so this equals the models' whole-run message count.
+    let stats = FaultStats {
+        delivered,
+        ..plane.stats()
+    };
+    model.finish(&mut metrics, &stats, convergence);
     if P::ENABLED {
-        probe.on_run_end(
-            round,
-            run_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        );
+        // Crashes activate before the sweep, so an actor whose crash
+        // round is the final quiescence check is tallied without any
+        // round having run; hand the probe that residual so its
+        // whole-run tally matches the metrics.
+        if PL::FAULTS && stats.crashed > fault_seen.crashed {
+            let residual = FaultStats {
+                crashed: stats.crashed - fault_seen.crashed,
+                ..FaultStats::default()
+            };
+            probe.on_fault_event(tick, &residual, plane.depth());
+        }
+        probe.on_run_end(tick, ns_since(run_start));
     }
     Ok(Run {
-        outputs: outputs(model, &nodes, round),
+        outputs: nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| model.output(node, i, app_round))
+            .collect(),
         metrics,
     })
 }
 
 #[cfg(test)]
-// The tests exercise the fault executor itself, below the sanctioned
-// `run_cfg` wrappers the rest of the workspace is steered to.
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -1776,7 +1991,7 @@ mod tests {
         /// Skewed per-actor costs for the balanced-sharding tests
         /// (uniform when false, matching the default hook).
         skewed_costs: bool,
-        /// Whether the sharded executor moves packed words.
+        /// Whether sharded runs move packed words.
         packed: bool,
     }
 
@@ -1961,17 +2176,40 @@ mod tests {
         }
     }
 
-    fn cfg(s: Scheduling) -> KernelConfig {
-        KernelConfig {
+    /// Direct delivery on `shards` shards.
+    fn plan(shards: usize, scheduling: Scheduling) -> Plan<'static> {
+        Plan {
             max_rounds: 1_000,
-            scheduling: s,
+            scheduling,
+            shards,
+            delivery: Delivery::Direct,
         }
+    }
+
+    /// Delivery through `adversary` on `shards` shards.
+    fn faulty(shards: usize, adversary: &dyn Adversary) -> Plan<'_> {
+        Plan {
+            delivery: Delivery::Adversary(adversary),
+            ..plan(shards, Scheduling::ActiveSet)
+        }
+    }
+
+    fn run(
+        model: &RingModel,
+        nodes: Vec<RingNode>,
+        plan: &Plan<'_>,
+    ) -> Result<Run<usize, RingMetrics>, RingError> {
+        run_kernel(model, nodes, plan, &NoopProbe)
     }
 
     #[test]
     fn sequential_completes_and_counts() {
-        let run =
-            run_sequential(&model(5), ring_nodes(5, 7, 2), cfg(Scheduling::ActiveSet)).unwrap();
+        let run = run(
+            &model(5),
+            ring_nodes(5, 7, 2),
+            &plan(1, Scheduling::ActiveSet),
+        )
+        .unwrap();
         // 8 sends total (the origin's plus 7 forwards), one per round,
         // plus a final send-free round consuming the last token.
         assert_eq!(run.metrics.messages, 8);
@@ -1985,20 +2223,24 @@ mod tests {
 
     #[test]
     fn schedulings_and_executors_are_bit_identical() {
-        let baseline = run_sequential(
+        let baseline = run(
             &model(16),
             ring_nodes(16, 40, 3),
-            cfg(Scheduling::FullSweep),
+            &plan(1, Scheduling::FullSweep),
         )
         .unwrap();
         for scheduling in [Scheduling::FullSweep, Scheduling::ActiveSet] {
-            let seq = run_sequential(&model(16), ring_nodes(16, 40, 3), cfg(scheduling)).unwrap();
+            let seq = run(&model(16), ring_nodes(16, 40, 3), &plan(1, scheduling)).unwrap();
             assert_eq!(seq.outputs, baseline.outputs, "{scheduling:?}");
             assert_eq!(seq.metrics.rounds, baseline.metrics.rounds);
             assert_eq!(seq.metrics.profile, baseline.metrics.profile);
             for threads in [2, 3, 5, 8] {
-                let par = run_sharded(&model(16), ring_nodes(16, 40, 3), threads, cfg(scheduling))
-                    .unwrap();
+                let par = run(
+                    &model(16),
+                    ring_nodes(16, 40, 3),
+                    &plan(threads, scheduling),
+                )
+                .unwrap();
                 assert_eq!(par.outputs, baseline.outputs, "{scheduling:?} t={threads}");
                 assert_eq!(par.metrics.rounds, baseline.metrics.rounds);
                 assert_eq!(par.metrics.messages, baseline.metrics.messages);
@@ -2016,18 +2258,17 @@ mod tests {
             skewed_costs: skewed,
             ..model(16)
         };
-        let baseline = run_sequential(
+        let baseline = run(
             &mk_model(false),
             ring_nodes(16, 40, 3),
-            cfg(Scheduling::ActiveSet),
+            &plan(1, Scheduling::ActiveSet),
         )
         .unwrap();
         for threads in [2, 3, 5, 8] {
-            let par = run_sharded(
+            let par = run(
                 &mk_model(true),
                 ring_nodes(16, 40, 3),
-                threads,
-                cfg(Scheduling::ActiveSet),
+                &plan(threads, Scheduling::ActiveSet),
             )
             .unwrap();
             assert_eq!(par.outputs, baseline.outputs, "t={threads}");
@@ -2038,15 +2279,18 @@ mod tests {
     #[test]
     fn step_errors_match_across_executors() {
         // Charge 99 exceeds the cap at the origin in round 0.
-        let seq = run_sequential(&model(8), ring_nodes(8, 3, 99), cfg(Scheduling::ActiveSet))
-            .unwrap_err();
+        let seq = run(
+            &model(8),
+            ring_nodes(8, 3, 99),
+            &plan(1, Scheduling::ActiveSet),
+        )
+        .unwrap_err();
         assert_eq!(seq, RingError::TooBig { at: 0, round: 0 });
         for threads in [2, 4] {
-            let par = run_sharded(
+            let par = run(
                 &model(8),
                 ring_nodes(8, 3, 99),
-                threads,
-                cfg(Scheduling::ActiveSet),
+                &plan(threads, Scheduling::ActiveSet),
             )
             .unwrap_err();
             assert_eq!(par, seq, "t={threads}");
@@ -2061,15 +2305,13 @@ mod tests {
             recv_cap: 4,
             ..model(8)
         };
-        let seq =
-            run_sequential(&tight, ring_nodes(8, 2, 5), cfg(Scheduling::ActiveSet)).unwrap_err();
+        let seq = run(&tight, ring_nodes(8, 2, 5), &plan(1, Scheduling::ActiveSet)).unwrap_err();
         assert_eq!(seq, RingError::RecvOverflow { at: 1, round: 0 });
         for threads in [2, 4] {
-            let par = run_sharded(
+            let par = run(
                 &tight,
                 ring_nodes(8, 2, 5),
-                threads,
-                cfg(Scheduling::ActiveSet),
+                &plan(threads, Scheduling::ActiveSet),
             )
             .unwrap_err();
             assert_eq!(par, seq, "t={threads}");
@@ -2078,30 +2320,39 @@ mod tests {
 
     #[test]
     fn round_limit_errors_match() {
-        let tight = KernelConfig {
+        let tight = Plan {
             max_rounds: 3,
-            scheduling: Scheduling::ActiveSet,
+            ..plan(1, Scheduling::ActiveSet)
         };
-        let seq = run_sequential(&model(8), ring_nodes(8, 100, 1), tight).unwrap_err();
+        let seq = run(
+            &model(8),
+            ring_nodes(8, 100, 1),
+            &Plan { shards: 1, ..tight },
+        )
+        .unwrap_err();
         assert_eq!(seq, RingError::RoundLimit { limit: 3 });
-        let par = run_sharded(&model(8), ring_nodes(8, 100, 1), 4, tight).unwrap_err();
+        let par = run(
+            &model(8),
+            ring_nodes(8, 100, 1),
+            &Plan { shards: 4, ..tight },
+        )
+        .unwrap_err();
         assert_eq!(par, seq);
     }
 
     #[test]
     fn packed_plane_is_bit_identical_to_enum_plane() {
-        let baseline = run_sequential(
+        let baseline = run(
             &model(16),
             ring_nodes(16, 40, 3),
-            cfg(Scheduling::ActiveSet),
+            &plan(1, Scheduling::ActiveSet),
         )
         .unwrap();
         for threads in [2, 3, 5, 8] {
-            let packed = run_sharded(
+            let packed = run(
                 &packed_model(16),
                 ring_nodes(16, 40, 3),
-                threads,
-                cfg(Scheduling::ActiveSet),
+                &plan(threads, Scheduling::ActiveSet),
             )
             .unwrap();
             assert_eq!(packed.outputs, baseline.outputs, "t={threads}");
@@ -2116,13 +2367,16 @@ mod tests {
     fn packed_plane_step_and_recv_errors_match() {
         // Step error (charge over the cap) and the receive-volume error
         // must surface identically on the packed plane.
-        let seq = run_sequential(&model(8), ring_nodes(8, 3, 99), cfg(Scheduling::ActiveSet))
-            .unwrap_err();
-        let packed = run_sharded(
+        let seq = run(
+            &model(8),
+            ring_nodes(8, 3, 99),
+            &plan(1, Scheduling::ActiveSet),
+        )
+        .unwrap_err();
+        let packed = run(
             &packed_model(8),
             ring_nodes(8, 3, 99),
-            4,
-            cfg(Scheduling::ActiveSet),
+            &plan(4, Scheduling::ActiveSet),
         )
         .unwrap_err();
         assert_eq!(packed, seq);
@@ -2135,13 +2389,11 @@ mod tests {
             recv_cap: 4,
             ..packed_model(8)
         };
-        let seq =
-            run_sequential(&tight, ring_nodes(8, 2, 5), cfg(Scheduling::ActiveSet)).unwrap_err();
-        let packed = run_sharded(
+        let seq = run(&tight, ring_nodes(8, 2, 5), &plan(1, Scheduling::ActiveSet)).unwrap_err();
+        let packed = run(
             &tight_packed,
             ring_nodes(8, 2, 5),
-            4,
-            cfg(Scheduling::ActiveSet),
+            &plan(4, Scheduling::ActiveSet),
         )
         .unwrap_err();
         assert_eq!(packed, seq);
@@ -2168,7 +2420,7 @@ mod tests {
 
     #[test]
     fn zero_actors_trivial() {
-        let run = run_sequential(&model(1), Vec::new(), cfg(Scheduling::ActiveSet)).unwrap();
+        let run = run(&model(1), Vec::new(), &plan(1, Scheduling::ActiveSet)).unwrap();
         assert_eq!(run.metrics.rounds, 0);
         assert!(run.outputs.is_empty());
     }
@@ -2176,11 +2428,10 @@ mod tests {
     #[test]
     fn sharded_falls_back_to_sequential_on_tiny_inputs() {
         // 4 actors on 8 threads: shards would hold under two actors.
-        let run = run_sharded(
+        let run = run(
             &model(4),
             ring_nodes(4, 5, 1),
-            8,
-            cfg(Scheduling::ActiveSet),
+            &plan(8, Scheduling::ActiveSet),
         )
         .unwrap();
         assert_eq!(run.metrics.messages, 6);
@@ -2201,15 +2452,19 @@ mod tests {
     }
 
     /// A hand-scripted adversary: one fate override for the message at
-    /// `(round 0, from 0, seq 0)`, plus an explicit crash table.
+    /// `(round 0, from 0, seq 0)`, an optionally muted sender whose every
+    /// message is dropped, plus an explicit crash table.
     struct ScriptAdversary {
         fate0: Fate,
+        mute: Option<u32>,
         crash: Vec<Option<u32>>,
     }
 
     impl Adversary for ScriptAdversary {
         fn fate(&self, round: u32, from: u32, seq: u32) -> Fate {
-            if round == 0 && from == 0 && seq == 0 {
+            if self.mute == Some(from) {
+                Fate::Drop
+            } else if round == 0 && from == 0 && seq == 0 {
                 self.fate0
             } else {
                 Fate::Deliver
@@ -2224,6 +2479,7 @@ mod tests {
     fn deliver_all(n: usize) -> ScriptAdversary {
         ScriptAdversary {
             fate0: Fate::Deliver,
+            mute: None,
             crash: vec![None; n],
         }
     }
@@ -2236,16 +2492,16 @@ mod tests {
                 ..model(16)
             };
             for scheduling in [Scheduling::ActiveSet, Scheduling::FullSweep] {
-                let baseline =
-                    run_sequential(&mk(), ring_nodes(16, 40, 3), cfg(scheduling)).unwrap();
+                let baseline = run(&mk(), ring_nodes(16, 40, 3), &plan(1, scheduling)).unwrap();
                 let adversary = SeededAdversary::new(FaultSpec::none());
                 for threads in [1, 2, 4, 8] {
-                    let faulty = run_faulty(
+                    let faulty = run(
                         &mk(),
                         ring_nodes(16, 40, 3),
-                        threads,
-                        cfg(scheduling),
-                        &adversary,
+                        &Plan {
+                            delivery: Delivery::Adversary(&adversary),
+                            ..plan(threads, scheduling)
+                        },
                     )
                     .unwrap();
                     assert_eq!(
@@ -2269,14 +2525,7 @@ mod tests {
             .delay(0.1, 3)
             .crash(0.1, 6);
         let adversary = SeededAdversary::new(spec);
-        let baseline = run_faulty(
-            &model(16),
-            ring_nodes(16, 40, 3),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adversary,
-        )
-        .unwrap();
+        let baseline = run(&model(16), ring_nodes(16, 40, 3), &faulty(1, &adversary)).unwrap();
         // The adversary must have actually interfered for this test to
         // mean anything.
         let f = &baseline.metrics.fault;
@@ -2286,15 +2535,13 @@ mod tests {
         );
         for packed in [false, true] {
             for threads in [1, 2, 4, 8] {
-                let run = run_faulty(
+                let run = run(
                     &RingModel {
                         packed,
                         ..model(16)
                     },
                     ring_nodes(16, 40, 3),
-                    threads,
-                    cfg(Scheduling::ActiveSet),
-                    &adversary,
+                    &faulty(threads, &adversary),
                 )
                 .unwrap();
                 assert_eq!(run.outputs, baseline.outputs, "packed={packed} t={threads}");
@@ -2307,24 +2554,15 @@ mod tests {
     fn trace_replay_is_bit_identical() {
         let spec = FaultSpec::seeded(21).drop(0.2).duplicate(0.1).delay(0.1, 2);
         let recorder = SeededAdversary::recording(spec);
-        let recorded = run_faulty(
-            &model(16),
-            ring_nodes(16, 40, 3),
-            4,
-            cfg(Scheduling::ActiveSet),
-            &recorder,
-        )
-        .unwrap();
+        let recorded = run(&model(16), ring_nodes(16, 40, 3), &faulty(4, &recorder)).unwrap();
         let trace = recorder.into_trace(16);
         assert!(trace.fault_count() > 0);
         let replayer = TraceAdversary::new(&trace);
         for threads in [1, 4] {
-            let replay = run_faulty(
+            let replay = run(
                 &model(16),
                 ring_nodes(16, 40, 3),
-                threads,
-                cfg(Scheduling::ActiveSet),
-                &replayer,
+                &faulty(threads, &replayer),
             )
             .unwrap();
             assert_eq!(replay.outputs, recorded.outputs, "t={threads}");
@@ -2334,40 +2572,19 @@ mod tests {
 
     #[test]
     fn crashing_terminated_or_unreached_actors_changes_nothing() {
-        let clean = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &deliver_all(8),
-        )
-        .unwrap();
+        let clean = run(&model(8), ring_nodes(8, 3, 2), &faulty(1, &deliver_all(8))).unwrap();
         // The token visits actors 1..=3; the run lasts 5 rounds. A
         // crash scheduled long after termination never activates.
         let mut late = deliver_all(8);
         late.crash[5] = Some(90);
-        let unreached = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &late,
-        )
-        .unwrap();
+        let unreached = run(&model(8), ring_nodes(8, 3, 2), &faulty(1, &late)).unwrap();
         assert_eq!(unreached.outputs, clean.outputs);
         assert_eq!(unreached.metrics, clean.metrics);
         // Crashing an actor that already finished its part mid-run
         // alters nothing but the crash counter.
         let mut done = deliver_all(8);
         done.crash[1] = Some(4);
-        let crashed_done = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &done,
-        )
-        .unwrap();
+        let crashed_done = run(&model(8), ring_nodes(8, 3, 2), &faulty(1, &done)).unwrap();
         assert_eq!(crashed_done.outputs, clean.outputs);
         assert_eq!(crashed_done.metrics.fault.crashed, 1);
         assert_eq!(crashed_done.metrics.messages, clean.metrics.messages);
@@ -2380,14 +2597,7 @@ mod tests {
         // dropped and the ring goes quiet instead of wrapping forever.
         let mut adv = deliver_all(8);
         adv.crash[3] = Some(2);
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 40, 2),
-            2,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run(&model(8), ring_nodes(8, 40, 2), &faulty(2, &adv)).unwrap();
         assert_eq!(run.metrics.fault.crashed, 1);
         assert_eq!(run.metrics.fault.dropped, 1);
         assert_eq!(run.outputs[3], 0, "the victim never saw the token");
@@ -2398,16 +2608,9 @@ mod tests {
     fn dropped_mail_is_charged_at_delivery_meaning_not_at_all() {
         let adv = ScriptAdversary {
             fate0: Fate::Drop,
-            crash: vec![None; 8],
+            ..deliver_all(8)
         };
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 5, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run(&model(8), ring_nodes(8, 5, 2), &faulty(1, &adv)).unwrap();
         assert_eq!(run.metrics.messages, 0, "dropped mail is never charged");
         assert_eq!(run.metrics.volume, 0);
         assert_eq!(run.metrics.fault.dropped, 1);
@@ -2417,26 +2620,12 @@ mod tests {
 
     #[test]
     fn duplicated_mail_is_charged_twice_and_delivered_twice() {
-        let clean = run_faulty(
-            &model(8),
-            ring_nodes(8, 1, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &deliver_all(8),
-        )
-        .unwrap();
+        let clean = run(&model(8), ring_nodes(8, 1, 2), &faulty(1, &deliver_all(8))).unwrap();
         let adv = ScriptAdversary {
             fate0: Fate::Duplicate,
-            crash: vec![None; 8],
+            ..deliver_all(8)
         };
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 1, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run(&model(8), ring_nodes(8, 1, 2), &faulty(1, &adv)).unwrap();
         assert_eq!(run.metrics.fault.duplicated, 1);
         // Round 0 charges two copies of the origin's send.
         assert_eq!(run.metrics.profile[0], 2 * clean.metrics.profile[0]);
@@ -2449,26 +2638,12 @@ mod tests {
 
     #[test]
     fn delayed_mail_arrives_late_but_intact() {
-        let clean = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &deliver_all(8),
-        )
-        .unwrap();
+        let clean = run(&model(8), ring_nodes(8, 3, 2), &faulty(1, &deliver_all(8))).unwrap();
         let adv = ScriptAdversary {
             fate0: Fate::Delay(3),
-            crash: vec![None; 8],
+            ..deliver_all(8)
         };
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run(&model(8), ring_nodes(8, 3, 2), &faulty(1, &adv)).unwrap();
         assert_eq!(run.outputs, clean.outputs, "a delayed token still lands");
         assert_eq!(run.metrics.rounds, clean.metrics.rounds + 3);
         assert_eq!(run.metrics.fault.delayed, 1);
@@ -2498,11 +2673,121 @@ mod tests {
     fn fault_round_limit_error_matches_model() {
         // A 100% delay loop can still exceed a tight round budget.
         let adv = SeededAdversary::new(FaultSpec::seeded(3).delay(1.0, 8));
-        let tight = KernelConfig {
+        let tight = Plan {
             max_rounds: 2,
-            scheduling: Scheduling::ActiveSet,
+            ..faulty(1, &adv)
         };
-        let err = run_faulty(&model(8), ring_nodes(8, 40, 2), 1, tight, &adv).unwrap_err();
+        let err = run(&model(8), ring_nodes(8, 40, 2), &tight).unwrap_err();
         assert_eq!(err, RingError::RoundLimit { limit: 2 });
+    }
+
+    /// ARQ over `adversary` on `shards` shards.
+    fn reliable(shards: usize, spec: ReliabilitySpec, adversary: &dyn Adversary) -> Plan<'_> {
+        Plan {
+            delivery: Delivery::Reliable(spec, adversary),
+            ..plan(shards, Scheduling::ActiveSet)
+        }
+    }
+
+    #[test]
+    fn clean_arq_reproduces_direct_outputs_on_both_planes() {
+        let clean = run(
+            &model(16),
+            ring_nodes(16, 40, 3),
+            &plan(1, Scheduling::ActiveSet),
+        )
+        .unwrap();
+        let adv = deliver_all(16);
+        let reference = run(
+            &model(16),
+            ring_nodes(16, 40, 3),
+            &reliable(1, ReliabilitySpec::arq(), &adv),
+        )
+        .unwrap();
+        assert_eq!(reference.outputs, clean.outputs);
+        let f = &reference.metrics.fault;
+        assert_eq!(
+            (f.retransmitted, f.dropped, f.dead_links),
+            (0, 0, 0),
+            "{f:?}"
+        );
+        assert!(f.acks > 0, "every accepted frame is acknowledged");
+        assert_eq!(f.delivered, clean.metrics.fault.delivered);
+        // A fault-free link accepts each frame the tick after its send,
+        // so application rounds never wait on the barrier.
+        assert_eq!(reference.metrics.rounds, clean.metrics.rounds);
+        for packed in [false, true] {
+            for shards in [1, 3] {
+                let m = RingModel {
+                    packed,
+                    ..model(16)
+                };
+                let arq = run(
+                    &m,
+                    ring_nodes(16, 40, 3),
+                    &reliable(shards, ReliabilitySpec::arq(), &adv),
+                )
+                .unwrap();
+                assert_eq!(
+                    arq.outputs, clean.outputs,
+                    "packed={packed} shards={shards}"
+                );
+                assert_eq!(
+                    arq.metrics, reference.metrics,
+                    "packed={packed} shards={shards}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn arq_recovers_a_scripted_drop() {
+        let clean = run(
+            &model(8),
+            ring_nodes(8, 5, 2),
+            &plan(1, Scheduling::ActiveSet),
+        )
+        .unwrap();
+        let adv = ScriptAdversary {
+            fate0: Fate::Drop,
+            ..deliver_all(8)
+        };
+        for shards in [1, 3] {
+            let run = run(
+                &model(8),
+                ring_nodes(8, 5, 2),
+                &reliable(shards, ReliabilitySpec::arq(), &adv),
+            )
+            .unwrap();
+            let f = &run.metrics.fault;
+            assert_eq!(f.dropped, 1, "shards={shards}");
+            assert!(f.retransmitted >= 1, "shards={shards}: {f:?}");
+            assert_eq!(f.dead_links, 0);
+            assert_eq!(run.outputs, clean.outputs, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn arq_counts_a_link_that_exhausts_its_retries_as_dead() {
+        // Actor 0's every frame is dropped, so its link to actor 1 gives
+        // up after two retransmissions and the token never leaves.
+        let adv = ScriptAdversary {
+            mute: Some(0),
+            ..deliver_all(8)
+        };
+        let spec = ReliabilitySpec::arq().with_max_retries(2);
+        for shards in [1, 3] {
+            let run = run(
+                &model(8),
+                ring_nodes(8, 5, 2),
+                &reliable(shards, spec, &adv),
+            )
+            .unwrap();
+            let f = &run.metrics.fault;
+            assert_eq!(f.dead_links, 1, "shards={shards}: {f:?}");
+            assert_eq!(f.retransmitted, 2, "shards={shards}");
+            assert_eq!(f.delivered, 0);
+            assert_eq!(run.outputs.iter().sum::<usize>(), 0);
+        }
     }
 }

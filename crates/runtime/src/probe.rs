@@ -1,11 +1,9 @@
 //! The kernel telemetry plane: zero-overhead round/shard probes and
 //! structured trace emission.
 //!
-//! Every executor family ([`run_sequential`](crate::run_sequential),
-//! [`run_sharded`](crate::run_sharded), and the adversarial
-//! [`run_faulty`](crate::fault::run_faulty)) has a `*_probed` variant
-//! that threads a [`Probe`] — a read-only trace sink — through the
-//! round loop. The probe observes what each round and each shard
+//! The kernel's one round loop ([`run_kernel`](crate::run_kernel)) threads
+//! a [`Probe`] — a read-only trace sink — through every run, whatever
+//! its shard count and delivery plane. The probe observes what each round and each shard
 //! actually did (wall time, message counts, charged volume, delay-queue
 //! depth, fault tallies) without being able to influence the run:
 //!
@@ -18,8 +16,8 @@
 //!   type whose [`Probe::ENABLED`] is `false`; every timing read and
 //!   every callback in the executors is gated on that associated
 //!   `const`, so the disabled path monomorphizes to exactly the
-//!   pre-probe code. The public non-`_probed` entry points are thin
-//!   [`NoopProbe`] wrappers.
+//!   probe-free loop. The simulators' unprobed entry points pass
+//!   [`NoopProbe`].
 //! * **Driving-thread discipline.** All callbacks fire on the thread
 //!   that drives the round loop (worker threads only *time* their own
 //!   shard), so probes need no `Sync` bound and may use plain interior
@@ -80,16 +78,17 @@ pub struct RoundObs<'a> {
     pub sizes: Option<&'a SizeHist>,
 }
 
-/// A read-only trace sink threaded through the `*_probed` executors.
+/// A read-only trace sink threaded through the round loop.
 ///
 /// All callbacks default to no-ops and fire **on the driving thread
 /// only**, in a fixed per-round order: [`Probe::on_round_start`], then
 /// one [`Probe::on_shard`] per stepped shard (ascending shard index),
-/// then [`Probe::on_exchange`], then (fault executor only)
-/// [`Probe::on_fault_event`], then [`Probe::on_round_end`].
+/// then [`Probe::on_exchange`], then (adversary and ARQ delivery only)
+/// [`Probe::on_fault_event`], then [`Probe::on_round_end`]. A clean
+/// one-shard run reports neither shards nor exchanges: it has no split.
 /// [`Probe::on_run_start`] and [`Probe::on_run_end`] bracket the whole
 /// run; a run that aborts with a model error ends without
-/// `on_run_end`. The fault executor may additionally fire one trailing
+/// `on_run_end`. A faulted run may additionally fire one trailing
 /// [`Probe::on_fault_event`] right before `on_run_end`, carrying
 /// crashes activated by the final quiescence check (no round ran for
 /// them, so there is no `on_round_end` to attach them to).
@@ -105,8 +104,8 @@ pub trait Probe {
 
     /// The run begins: `actors` actor states, partitioned at the
     /// boundary offsets `bounds` (`[0, n]` for single-shard runs), with
-    /// per-actor costs `costs` (empty when the executor never computed
-    /// them — single-shard runs).
+    /// per-actor costs `costs` (empty on single-shard runs, which never
+    /// compute them).
     fn on_run_start(&self, _actors: usize, _bounds: &[usize], _costs: &[u64]) {}
 
     /// A round is about to step its actors.
@@ -120,8 +119,9 @@ pub trait Probe {
     /// inboxes) finished.
     fn on_exchange(&self, _round: usize, _wall_ns: u64) {}
 
-    /// The fault executor's per-round tally: the fault-stat *delta* of
-    /// this round and the delay-queue depth after the exchange.
+    /// The fault planes' per-round tally: the fault-stat *delta* of this
+    /// round and the depth of the in-network queue after the exchange
+    /// (the delay queue, or the ARQ wire).
     fn on_fault_event(&self, _round: usize, _delta: &FaultStats, _delay_depth: usize) {}
 
     /// The round completed (accounting folded into the model metrics).
@@ -269,10 +269,9 @@ pub struct RoundTelemetry {
     /// Per-shard records, ascending shard index (empty on single-shard
     /// rounds).
     pub shards: Vec<ShardTelemetry>,
-    /// Delay-queue depth after the exchange (fault executor only).
+    /// In-network queue depth after the exchange (fault planes only).
     pub delay_depth: usize,
-    /// This round's fault-stat delta (all zeros outside the fault
-    /// executor).
+    /// This round's fault-stat delta (all zeros on direct delivery).
     pub fault: FaultStats,
 }
 
@@ -307,8 +306,8 @@ pub struct RunTelemetry {
     pub actors: usize,
     /// Shard boundary offsets (`[0, n]` for single-shard runs).
     pub bounds: Vec<usize>,
-    /// Per-actor costs the partition was balanced on (empty when the
-    /// executor never computed them).
+    /// Per-actor costs the partition was balanced on (empty on
+    /// single-shard runs).
     pub costs: Vec<u64>,
     /// Per-round records, in execution order.
     pub rounds: Vec<RoundTelemetry>,
@@ -479,7 +478,7 @@ impl Probe for RecordingProbe {
 /// `shards`, `sizes`, and `fault` are omitted when empty/all-zero. A
 /// `run_end` record may also carry a `fault` object: the residual delta
 /// of crashes activated by the final quiescence check (after the last
-/// round ran). Under the reliable executor the `fault` object also
+/// round ran). Under ARQ delivery the `fault` object also
 /// carries `"retransmitted"`, `"acks"`, and `"dead_links"` counters
 /// (omitted as a trio when all zero, so raw-path traces are unchanged):
 ///
@@ -666,7 +665,7 @@ impl<W: Write> Probe for JsonlProbe<W> {
 /// `None` when every counter is zero (field omitted). The base quartet
 /// is always present when the object is; the ARQ trio
 /// (`retransmitted`/`acks`/`dead_links`) is appended only when the
-/// reliable executor produced any, so raw-path traces keep the
+/// ARQ plane produced any, so raw-path traces keep the
 /// pre-reliability shape byte for byte.
 fn fault_json(f: &FaultStats) -> Option<String> {
     let base = f.dropped + f.duplicated + f.delayed + f.crashed;

@@ -166,7 +166,12 @@ fn runtime_kernel_is_exposed() {
         .unwrap();
     let active = Simulator::congest(&g)
         .with_scheduling(Scheduling::ActiveSet)
-        .run_parallel(mk(), 3)
+        .run_cfg_plain(
+            mk(),
+            &RunConfig::new()
+                .parallel(3)
+                .scheduling(Scheduling::ActiveSet),
+        )
         .unwrap();
     assert_eq!(full.outputs, active.outputs);
     assert_eq!(full.metrics, active.metrics);
